@@ -143,7 +143,8 @@ def synth_spread(params: ModelParams, cfg: SpreadModelConfig, s0: float) -> floa
 
     b * P with P the asymptotic healthy-to-distressed probability. The
     linearized spread relation assumes a small default probability, so
-    s0 <= S_star is rejected.
+    s0 <= S_star is rejected. This is the scalar reference for the
+    whole-universe pricing in :func:`tanhdrift.universe.generate_universe`.
     """
     if not (s0 > params.s_star):
         raise ValidationError(

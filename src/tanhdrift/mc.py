@@ -11,11 +11,17 @@ uses the p-th normal of that block. Draws therefore do not depend on
 iteration order, and the same (params, config) reproduce ensembles
 bit-for-bit on any platform; generating paths in parallel cannot change
 the result.
+
+Paths may also carry their own parameters and start: a sequence of one
+ModelParams per path and a tuple of one x0 per path. A synthetic
+universe runs this way as one ensemble, name i being path i, so name i
+uses normal i of each step's substream.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +47,15 @@ class SimConfig:
     """Discretization and seeding of one simulation run.
 
     dt and horizon are in years; horizon must be an integer number of
-    steps (within 1e-9 relative).
+    steps (within 1e-9 relative). x0 is one start for every path, or a
+    tuple of one start per path.
     """
 
     n_paths: int
     dt: float
     horizon: float
     seed: int
-    x0: float
+    x0: float | tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
@@ -64,6 +71,8 @@ class SimConfig:
             raise ValidationError(
                 f"horizon/dt = {self.horizon / self.dt} does not round to an integer step count"
             )
+        if isinstance(self.x0, tuple) and len(self.x0) != self.n_paths:
+            raise ValidationError(f"{len(self.x0)} starts x0 for {self.n_paths} paths")
 
     @property
     def n_steps(self) -> int:
@@ -74,13 +83,14 @@ class SimConfig:
 class PathEnsemble:
     """Simulated log-price paths on a uniform time grid.
 
-    paths has shape (n_paths, n_steps + 1); every path starts at the
-    configured x0 in column 0.
+    paths has shape (n_paths, n_steps + 1); every path starts at its
+    configured x0 in column 0. params is what was simulated: one
+    ModelParams, or one per path.
     """
 
     times: np.ndarray
     paths: np.ndarray
-    params: ModelParams
+    params: ModelParams | Sequence[ModelParams]
     seed: int
 
 
@@ -113,11 +123,22 @@ def _step_normals(seed: int, step: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(seed).jumped(step)).standard_normal(n)
 
 
-def _run(params: ModelParams, cfg: SimConfig, store: bool):
+def _coefficients(params: ModelParams | Sequence[ModelParams], cfg: SimConfig):
+    """nu, x_star, mu_tilde dt and sigma sqrt(dt): scalars, or one array
+    entry per path, each computed as the scalar case computes it."""
+    sqdt = math.sqrt(cfg.dt)
+    if isinstance(params, ModelParams):
+        return params.nu, params.x_star, params.mu_tilde * cfg.dt, params.sigma * sqdt
+    if len(params) != cfg.n_paths:
+        raise ValidationError(f"{len(params)} parameter sets for {cfg.n_paths} paths")
+    rows = [(p.nu, p.x_star, p.mu_tilde * cfg.dt, p.sigma * sqdt) for p in params]
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+
+def _run(params: ModelParams | Sequence[ModelParams], cfg: SimConfig, store: bool):
     n, steps = cfg.n_paths, cfg.n_steps
-    nu, x_star = params.nu, params.x_star
-    mu_dt = params.mu_tilde * cfg.dt
-    sig_sqdt = params.sigma * math.sqrt(cfg.dt)
+    nu, x_star, mu_dt, sig_sqdt = _coefficients(params, cfg)
+    drift = bool(np.any((nu > 0.0) & (mu_dt != 0.0)))
 
     x = np.full(n, cfg.x0, dtype=float)
     out = None
@@ -127,7 +148,7 @@ def _run(params: ModelParams, cfg: SimConfig, store: bool):
     scratch = np.empty(n, dtype=float)
     for k in range(steps):
         z = _step_normals(cfg.seed, k, n)
-        if nu > 0.0 and mu_dt != 0.0:
+        if drift:
             np.subtract(x, x_star, out=scratch)
             scratch *= nu
             np.tanh(scratch, out=scratch)
@@ -142,11 +163,14 @@ def _run(params: ModelParams, cfg: SimConfig, store: bool):
     return x, out
 
 
-def simulate(params: ModelParams, cfg: SimConfig) -> PathEnsemble:
+def simulate(params: ModelParams | Sequence[ModelParams], cfg: SimConfig) -> PathEnsemble:
     """Euler-Maruyama integration, full grid stored.
 
     X_{k+1} = X_k + mu(X_k) dt + sigma sqrt(dt) Z_k with the Z_k drawn
-    as described in the module docstring. Memory is
+    as described in the module docstring. params is one ModelParams for
+    every path, or a sequence of one per path (each validated when it
+    was built); path i of a per-path run equals path i of a scalar run
+    of params[i] with the same n_paths, seed and start. Memory is
     O(n_paths * n_steps); use :func:`terminal_values` or the estimators
     when only time-T values are needed.
     """
@@ -155,7 +179,7 @@ def simulate(params: ModelParams, cfg: SimConfig) -> PathEnsemble:
     return PathEnsemble(times=times, paths=out, params=params, seed=cfg.seed)
 
 
-def terminal_values(params: ModelParams, cfg: SimConfig) -> np.ndarray:
+def terminal_values(params: ModelParams | Sequence[ModelParams], cfg: SimConfig) -> np.ndarray:
     """Time-T log-prices only; O(n_paths) memory, same draws as simulate."""
     x, _ = _run(params, cfg, store=False)
     return x
@@ -213,10 +237,9 @@ def mc_density_histogram(ensemble: PathEnsemble, bins=50, bin_range=None) -> His
 
 def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     """Dump an ensemble as rows of (path_id, step, x) for offline inspection."""
-    n_paths, n_times = ensemble.paths.shape
+    steps = [f",{k}," for k in range(ensemble.paths.shape[1])]
     with open(path, "w", newline="") as fh:
         fh.write("path_id,step,x\n")
-        for p in range(n_paths):
-            row = ensemble.paths[p]
-            for k in range(n_times):
-                fh.write(f"{p},{k},{float(row[k])!r}\n")
+        for p, row in enumerate(ensemble.paths):
+            pid = str(p)
+            fh.write("".join([f"{pid}{k}{x!r}\n" for k, x in zip(steps, row.tolist())]))

@@ -232,14 +232,23 @@ def backtest(
             entries[name] = (price_map[name][asof], score)
         return entries
 
+    # Each date's eligible set is built once: its snapshot serves the peak
+    # check below and the rebalance in the main loop.
+    snapshots: dict[dt.date, PortfolioSnapshot] = {}
+    peak = 0
+    for d in rebalance_dates:
+        entries = eligible(d)
+        peak = max(peak, len(entries))
+        if len(entries) >= 10:
+            snapshots[d] = rank_deciles(UniverseSnapshot(date=d, entries=entries))
+        else:
+            snapshots[d] = PortfolioSnapshot(date=d, weights={})
     if total_records > 0:
-        peak = max(len(eligible(d)) for d in rebalance_dates)
         if peak == 0:
             raise NoOverlap("signals and prices never align on any rebalance date")
         if peak < 10:
             raise UniverseTooSmall(f"at most {peak} names ever eligible, need >= 10")
 
-    rebalance_set = set(rebalance_dates)
     first = rebalance_dates[0]
     weights: dict[str, float] = {}
     last_price: dict[str, float] = {}
@@ -281,14 +290,9 @@ def backtest(
         for name, m in price_map.items():
             if day in m:
                 last_price[name] = m[day]
-        if day in rebalance_set:
-            entries = eligible(day)
-            if len(entries) >= 10:
-                snap = rank_deciles(UniverseSnapshot(date=day, entries=entries))
-                new_weights = {n: w for n, w in snap.weights.items() if w != 0.0}
-            else:
-                snap = PortfolioSnapshot(date=day, weights={})
-                new_weights = {}
+        if day in snapshots:
+            snap = snapshots[day]
+            new_weights = {n: w for n, w in snap.weights.items() if w != 0.0}
             union = set(weights) | set(new_weights)
             turnovers.append(
                 0.5 * math.fsum(abs(new_weights.get(n, 0.0) - weights.get(n, 0.0)) for n in union)

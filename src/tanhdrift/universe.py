@@ -1,8 +1,10 @@
 """Synthetic universe generation and universe file I/O.
 
 Draws per-name model parameters from configured ranges, simulates daily
-prices with the seeded integrator (dt = 1/252), prices spreads off the
-asymptotic default probability, and writes a desk-style directory:
+prices with the seeded integrator (dt = 1/252) as one ensemble per
+universe, in which name i is path i and so uses normal i of each day's
+Philox substream, prices spreads off the asymptotic default
+probability, and writes a desk-style directory:
 
     out_dir/
       manifest.csv          name,price_file,spread_file (relative paths)
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
-from .cds import SpreadModelConfig, synth_spread
+from .cds import SpreadModelConfig
 from .errors import DataError, ValidationError
 from .mc import SimConfig, simulate
 from .model import ModelParams
@@ -103,7 +106,13 @@ def trading_dates(start: dt.date, n: int) -> list[dt.date]:
 
 
 def generate_universe(spec: UniverseSpec, out_dir) -> dict:
-    """Write a synthetic universe under out_dir; returns a small summary."""
+    """Write a synthetic universe under out_dir; returns a small summary.
+
+    All names are simulated as one ensemble (path i is name i, seeded
+    with the first drawn simulation seed), and every healthy-day spread
+    is priced at once as b * expit(-2 nu (ln S - x_star)), the value
+    :func:`tanhdrift.cds.synth_spread` gives for one price.
+    """
     out = Path(out_dir)
     (out / "prices").mkdir(parents=True, exist_ok=True)
     (out / "spreads").mkdir(parents=True, exist_ok=True)
@@ -114,70 +123,68 @@ def generate_universe(spec: UniverseSpec, out_dir) -> dict:
     sigmas = rng.uniform(*spec.sigma_range, n)
     s_stars = rng.uniform(*spec.s_star_range, n)
     ratios = rng.uniform(*spec.ratio_range, n)
+    # One seed per name is still drawn so that the noise seeds after
+    # them, and so the noise, stay what they were per name.
     sim_seeds = rng.integers(0, 2**62, size=n)
     noise_seeds = rng.integers(0, 2**62, size=n)
-    dates = trading_dates(spec.start_date, spec.days)
+    dates = [d.isoformat() for d in trading_dates(spec.start_date, spec.days)]
 
-    manifest_rows: list[tuple[str, str, str]] = []
-    truth_rows: list[tuple[str, float, float, float, float]] = []
-    skipped_days = 0
+    params = [
+        ModelParams.from_threshold_price(float(nu), float(sigma), float(s_star))
+        for nu, sigma, s_star in zip(nus, sigmas, s_stars)
+    ]
+    s0s = [p.s_star * float(r) for p, r in zip(params, ratios)]
+    sim = SimConfig(
+        n_paths=n,
+        dt=1.0 / 252.0,
+        horizon=spec.days / 252.0,
+        seed=int(sim_seeds[0]),
+        x0=tuple(math.log(s0) for s0 in s0s),
+    )
+    # days steps give days + 1 columns (SimConfig needs dt < horizon),
+    # of which the last is dropped.
+    prices = np.exp(simulate(params, sim).paths[:, : spec.days])
+    x_star = np.array([p.x_star for p in params])[:, None]
+    healthy = prices > np.array([p.s_star for p in params])[:, None]
+    spreads = cfg.b * expit(-(2.0 * nus)[:, None] * (np.log(prices) - x_star))
+    if spec.noise_sigma > 0:
+        xi = np.array([np.random.default_rng(int(seed)).standard_normal(spec.days)
+                       for seed in noise_seeds])
+        spreads *= np.exp(spec.noise_sigma * xi)
+
+    manifest_rows: list[str] = []
+    truth_rows: list[str] = []
     for i in range(n):
         name = f"N{i:03d}"
-        params = ModelParams.from_threshold_price(float(nus[i]), float(sigmas[i]), float(s_stars[i]))
-        s0 = params.s_star * float(ratios[i])
-        sim = SimConfig(
-            n_paths=1,
-            dt=1.0 / 252.0,
-            horizon=spec.days / 252.0,
-            seed=int(sim_seeds[i]),
-            x0=math.log(s0),
-        )
-        path = simulate(params, sim).paths[0, : spec.days]
-        prices = np.exp(path)
-        noise = None
-        if spec.noise_sigma > 0:
-            xi = np.random.default_rng(int(noise_seeds[i])).standard_normal(spec.days)
-            noise = np.exp(spec.noise_sigma * xi)
-
         price_rel = f"prices/{name}.csv"
         spread_rel = f"spreads/{name}.csv"
+        row = prices[i].tolist()
         with open(out / price_rel, "w", newline="") as fh:
-            fh.write(",".join(_PRICE_HEADER) + "\n")
-            for d, p in zip(dates, prices):
-                fh.write(f"{d.isoformat()},{float(p)!r}\n")
-
-        n_written = 0
+            fh.write("date,price\n" + "".join([f"{d},{p!r}\n" for d, p in zip(dates, row)]))
+        lines = [
+            f"{d},{p!r},{z!r}\n"
+            for d, p, z, ok in zip(dates, row, spreads[i].tolist(), healthy[i].tolist())
+            if ok
+        ]
         with open(out / spread_rel, "w", newline="") as fh:
-            fh.write("date,price,spread_bps\n")
-            for k, (d, p) in enumerate(zip(dates, prices)):
-                if p <= params.s_star:
-                    skipped_days += 1
-                    continue
-                z = synth_spread(params, cfg, float(p))
-                if noise is not None:
-                    z *= float(noise[k])
-                fh.write(f"{d.isoformat()},{float(p)!r},{z!r}\n")
-                n_written += 1
-        if n_written == 0:
+            fh.write("date,price,spread_bps\n" + "".join(lines))
+        if not lines:
             log.warning("%s: never in the healthy regime, omitted from the manifest", name)
             continue
-        manifest_rows.append((name, price_rel, spread_rel))
-        truth_rows.append((name, float(nus[i]), float(sigmas[i]), float(s_stars[i]), s0))
+        manifest_rows.append(f"{name},{price_rel},{spread_rel}\n")
+        truth_rows.append(f"{name},{float(nus[i])!r},{float(sigmas[i])!r},"
+                          f"{float(s_stars[i])!r},{s0s[i]!r}\n")
 
     if not manifest_rows:
         raise DataError("no name produced any healthy-regime spread observation")
     with open(out / "manifest.csv", "w", newline="") as fh:
-        fh.write(",".join(_MANIFEST_HEADER) + "\n")
-        for row in manifest_rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(_MANIFEST_HEADER) + "\n" + "".join(manifest_rows))
     with open(out / "truth.csv", "w", newline="") as fh:
-        fh.write(",".join(_TRUTH_HEADER) + "\n")
-        for name, nu, sigma, s_star, s0 in truth_rows:
-            fh.write(f"{name},{nu!r},{sigma!r},{s_star!r},{s0!r}\n")
+        fh.write(",".join(_TRUTH_HEADER) + "\n" + "".join(truth_rows))
     return {
         "n_names": len(manifest_rows),
         "days": spec.days,
-        "skipped_distressed_days": skipped_days,
+        "skipped_distressed_days": int(healthy.size - np.count_nonzero(healthy)),
     }
 
 

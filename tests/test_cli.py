@@ -1,6 +1,7 @@
 """Command-line front end: wiring, exit codes, reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 import tanhdrift as td
 from tanhdrift.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from tanhdrift.cds import load_signals_csv, load_spread_series, rolling_extract
-from tanhdrift.universe import load_manifest, load_truth
+from tanhdrift.mc import SimConfig, simulate
+from tanhdrift.universe import UniverseSpec, generate_universe, load_manifest, load_truth
 
 
 def _run(*args) -> int:
@@ -139,24 +141,93 @@ def test_synth_universe_rejects_distressed_start(tmp_path):
     assert code == EXIT_VALIDATION
 
 
-def test_synth_universe_spreads_recomputable_from_truth(tmp_path):
-    out = tmp_path / "u"
-    assert _run("synth-universe", "--n-names", 3, "--days", 30, "--seed", 5,
-                "--out-dir", out) == EXIT_OK
-    import csv
+def _universe_draws(spec):
+    """The spec's draws in generate_universe's order: per-name parameters,
+    S0/S* ratios, simulation seeds and noise seeds."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_names
+    nus = rng.uniform(*spec.nu_range, n)
+    sigmas = rng.uniform(*spec.sigma_range, n)
+    s_stars = rng.uniform(*spec.s_star_range, n)
+    ratios = rng.uniform(*spec.ratio_range, n)
+    sim_seeds = rng.integers(0, 2**62, size=n)
+    noise_seeds = rng.integers(0, 2**62, size=n)
+    return nus, sigmas, s_stars, ratios, sim_seeds, noise_seeds
 
-    with open(out / "truth.csv") as fh:
-        truth_rows = {r["name"]: r for r in csv.DictReader(fh)}
-    cfg = td.ModelParams.from_threshold_price(
-        float(truth_rows["N001"]["nu"]), float(truth_rows["N001"]["sigma"]),
-        float(truth_rows["N001"]["s_star"]),
-    )
+
+def _read_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_synth_universe_prices_match_scalar_simulation(tmp_path):
+    # name i is path i of one ensemble seeded with the first simulation
+    # seed: a scalar run of name i's own parameters gives its prices
+    spec = UniverseSpec(n_names=7, days=30, seed=5)
+    generate_universe(spec, tmp_path)
+    nus, sigmas, s_stars, ratios, sim_seeds, _ = _universe_draws(spec)
+    for i in range(spec.n_names):
+        params = td.ModelParams.from_threshold_price(float(nus[i]), float(sigmas[i]),
+                                                     float(s_stars[i]))
+        s0 = params.s_star * float(ratios[i])
+        cfg = SimConfig(n_paths=spec.n_names, dt=1 / 252, horizon=spec.days / 252,
+                        seed=int(sim_seeds[0]), x0=math.log(s0))
+        expected = np.exp(simulate(params, cfg).paths[i, : spec.days])
+        rows = _read_rows(tmp_path / "prices" / f"N{i:03d}.csv")
+        assert np.array_equal([float(p) for _, p in rows], expected)
+
+
+def test_synth_universe_spreads_recomputable_from_truth(tmp_path):
     from tanhdrift.cds import SpreadModelConfig, synth_spread
 
-    series = load_spread_series(out / "spreads" / "N001.csv", name="N001")
     smc = SpreadModelConfig(recovery_rate=0.4, maturity=5.0)
-    for obs in series.observations:
-        assert obs.spread == pytest.approx(synth_spread(cfg, smc, obs.price), rel=1e-12)
+    for noise in (0.0, 0.1):
+        out = tmp_path / f"u{noise}"
+        assert _run("synth-universe", "--n-names", 6, "--days", 30, "--seed", 5,
+                    "--noise-sigma", noise, "--out-dir", out) == EXIT_OK
+        spec = UniverseSpec(n_names=6, days=30, seed=5, noise_sigma=noise)
+        noise_seeds = _universe_draws(spec)[5]
+        dates = [r[0] for r in _read_rows(out / "prices" / "N000.csv")]
+        truth = {r[0]: r for r in _read_rows(out / "truth.csv")}
+        assert len(truth) == 6
+        for i, (name, _pf, sf) in enumerate(load_manifest(out / "manifest.csv")):
+            params = td.ModelParams.from_threshold_price(*(float(v) for v in truth[name][1:4]))
+            mult = np.ones(spec.days)
+            if noise > 0:
+                xi = np.random.default_rng(int(noise_seeds[i])).standard_normal(spec.days)
+                mult = np.exp(noise * xi)
+            rows = _read_rows(sf)
+            assert rows
+            for d, price, spread in rows:
+                expected = synth_spread(params, smc, float(price)) * mult[dates.index(d)]
+                assert float(spread) == pytest.approx(expected, rel=1e-12)
+
+
+def test_synth_universe_two_days(tmp_path):
+    # SimConfig needs dt < horizon: two days still simulate and write two rows
+    assert _run("synth-universe", "--n-names", 3, "--days", 2, "--seed", 4,
+                "--out-dir", tmp_path) == EXIT_OK
+    for name, pf, sf in load_manifest(tmp_path / "manifest.csv"):
+        assert len(_read_rows(pf)) == 2
+        assert 1 <= len(_read_rows(sf)) <= 2
+
+
+def test_synth_universe_counts_distressed_days(tmp_path):
+    # S0 close to S* so that paths cross it; days at or below exp(x_star)
+    # are counted and left out of the spread files, every other day kept
+    spec = UniverseSpec(n_names=12, days=120, seed=9, ratio_range=(1.01, 1.3),
+                        sigma_range=(0.3, 0.4), nu_range=(0.3, 0.6))
+    summary = generate_universe(spec, tmp_path)
+    s_stars = _universe_draws(spec)[2]
+    distressed = 0
+    for i in range(spec.n_names):
+        threshold = td.ModelParams.from_threshold_price(1.0, 0.3, float(s_stars[i])).s_star
+        prices = _read_rows(tmp_path / "prices" / f"N{i:03d}.csv")
+        healthy = [d for d, p in prices if float(p) > threshold]
+        distressed += len(prices) - len(healthy)
+        spread_dates = [r[0] for r in _read_rows(tmp_path / "spreads" / f"N{i:03d}.csv")]
+        assert spread_dates == healthy
+    assert distressed > 0
+    assert summary["skipped_distressed_days"] == distressed
 
 
 # ---------------------------------------------------------------------------

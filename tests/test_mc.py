@@ -88,6 +88,37 @@ def test_path_prefix_independent_of_ensemble_size():
     assert np.array_equal(b.paths[:16], a.paths)
 
 
+def test_per_path_parameters_match_scalar_runs():
+    # path i of a per-path ensemble is path i of a scalar run of its own
+    # parameters and start, bit for bit
+    rng = np.random.default_rng(12)
+    n = 9
+    params = [
+        td.ModelParams(nu=float(nu), sigma=float(sig), x_star=float(xs))
+        for nu, sig, xs in zip(rng.uniform(0, 3, n), rng.uniform(0.05, 0.5, n),
+                               rng.uniform(-1, 1, n))
+    ]
+    params[0] = td.ModelParams(nu=0.0, sigma=0.3, x_star=0.2)  # driftless name
+    x0s = tuple(float(x) for x in rng.uniform(-2, 2, n))
+    cfg = SimConfig(n_paths=n, dt=0.01, horizon=0.5, seed=77, x0=x0s)
+    ens = simulate(params, cfg)
+    assert ens.paths.shape == (n, 51)
+    assert np.array_equal(ens.paths[:, 0], x0s)
+    assert np.array_equal(terminal_values(params, cfg), ens.paths[:, -1])
+    for i, p in enumerate(params):
+        scalar = SimConfig(n_paths=n, dt=0.01, horizon=0.5, seed=77, x0=x0s[i])
+        assert np.array_equal(ens.paths[i], simulate(p, scalar).paths[i])
+
+
+def test_per_path_lengths_validated():
+    p = td.ModelParams(nu=1.0, sigma=0.3, x_star=0.0)
+    with pytest.raises(td.ValidationError):
+        SimConfig(n_paths=3, dt=0.1, horizon=1.0, seed=1, x0=(0.0, 0.1))
+    cfg = SimConfig(n_paths=3, dt=0.1, horizon=1.0, seed=1, x0=(0.0, 0.1, 0.2))
+    with pytest.raises(td.ValidationError):
+        simulate([p, p], cfg)
+
+
 def test_step_normals_reproducible_and_disjoint():
     z1 = _step_normals(5, 3, 100)
     z2 = _step_normals(5, 3, 100)
@@ -246,3 +277,8 @@ def test_ensemble_csv_dump(tmp_path):
     last = lines[-1].split(",")
     assert last[0] == "2" and last[1] == "2"
     assert float(last[2]) == ens.paths[2, 2]
+    # byte for byte the one-row-at-a-time writer
+    expected = "path_id,step,x\n" + "".join(
+        f"{i},{k},{float(ens.paths[i, k])!r}\n" for i in range(3) for k in range(3)
+    )
+    assert out.read_text() == expected
