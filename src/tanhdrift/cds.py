@@ -13,20 +13,26 @@ expected return. The intercept a_tilde = 2 nu ln S_star + ln b is
 reported raw; S_star is deliberately not extracted (it is unidentifiable
 without knowing b, and the intercept is unstable out-of-sample) --
 :func:`implied_s_star` computes it only when the caller supplies (R, T).
+
+A name's observations are held as arrays (:class:`SpreadSeries`), and
+all windows of a name are fitted in one batched pass whose numbers are
+those of scipy.stats.linregress per window. Every CSV file of the
+package is read through one reader, :func:`_read_csv`: exact header,
+blank lines skipped, one field per header column on every other row.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import (
     DataError,
@@ -40,7 +46,6 @@ from .model import Direction, ModelParams, default_prob_asymptotic
 
 __all__ = [
     "MIN_WINDOW",
-    "SpreadObservation",
     "SpreadSeries",
     "SignalRecord",
     "SpreadModelConfig",
@@ -60,40 +65,46 @@ log = logging.getLogger(__name__)
 MIN_WINDOW = 15
 
 
-@dataclass(frozen=True)
-class SpreadObservation:
-    """One (date, stock price, CDS spread in bps) observation."""
-
-    date: dt.date
-    price: float
-    spread: float
-
-    def __post_init__(self) -> None:
-        if not (self.price > 0):
-            raise NonPositiveValue(f"price must be > 0, got {self.price} on {self.date}")
-        if not (self.spread > 0):
-            raise NonPositiveValue(f"spread must be > 0, got {self.spread} on {self.date}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpreadSeries:
-    """Date-ordered observations for one instrument."""
+    """One instrument's observations as arrays, in date order.
+
+    dates is a tuple of strictly increasing dt.date; price and spread
+    (in bps) are float arrays of the same length, stored as read-only
+    copies. Every price and spread must be > 0, since logs are taken of
+    both.
+    """
 
     name: str
-    observations: tuple[SpreadObservation, ...]
+    dates: tuple[dt.date, ...]
+    price: np.ndarray
+    spread: np.ndarray
 
     def __post_init__(self) -> None:
-        obs = tuple(self.observations)
-        object.__setattr__(self, "observations", obs)
-        for a, b in zip(obs, obs[1:]):
-            if a.date >= b.date:
+        object.__setattr__(self, "dates", tuple(self.dates))
+        for label in ("price", "spread"):
+            values = np.array(getattr(self, label), dtype=float)
+            if values.shape != (len(self.dates),):
+                raise ValidationError(
+                    f"{self.name}: {len(self.dates)} dates but {label} has shape {values.shape}"
+                )
+            bad = np.flatnonzero(~(values > 0))
+            if bad.size:
+                i = bad[0]
+                raise NonPositiveValue(
+                    f"{self.name}: {label} must be > 0, got {values[i]} on {self.dates[i]}"
+                )
+            values.setflags(write=False)
+            object.__setattr__(self, label, values)
+        for a, b in zip(self.dates, self.dates[1:]):
+            if a >= b:
                 raise ValidationError(
                     f"{self.name}: observation dates must be strictly increasing "
-                    f"({a.date} then {b.date})"
+                    f"({a} then {b})"
                 )
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -154,28 +165,42 @@ def synth_spread(params: ModelParams, cfg: SpreadModelConfig, s0: float) -> floa
     return cfg.b * p
 
 
-def _fit(name: str, obs: Sequence[SpreadObservation]) -> SignalRecord:
-    ln_s = np.log([o.price for o in obs])
-    ln_z = np.log([o.spread for o in obs])
-    if float(np.std(ln_s, ddof=1)) < 1e-10:
-        raise DegeneratePrices(f"{name}: log-price sample std < 1e-10, slope undefined")
-    if float(np.ptp(ln_z)) == 0.0:
-        # Constant spreads: the zero-slope line fits exactly.
-        slope, intercept, r2, stderr = 0.0, float(ln_z[0]), 1.0, 0.0
-    else:
-        res = linregress(ln_s, ln_z)
-        slope, intercept, stderr = float(res.slope), float(res.intercept), float(res.stderr)
-        r2 = float(res.rvalue) ** 2
-    return SignalRecord(
-        name=name,
-        window_start=obs[0].date,
-        window_end=obs[-1].date,
-        nu_hat=-slope / 2.0,
-        a_tilde=intercept,
-        r_squared=min(r2, 1.0),
-        n_obs=len(obs),
-        slope_stderr=stderr,
-    )
+def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> list[SignalRecord]:
+    """OLS of ln(spread) on ln(price) over the w observations from each
+    index in starts, all windows at once.
+
+    Windows with a log-price sample std below 1e-10 have no slope and
+    get no record. A window of constant spreads, which includes every
+    one-observation window, fits slope 0 with r_squared 1 and stderr 0.
+    Every other window gets what scipy.stats.linregress gives for it,
+    bit for bit: its moments are np.cov(x, y, bias=1), centred rows
+    times their own transpose, scaled by 1/w.
+    """
+    idx = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(w)
+    xy = np.stack([np.log(series.price)[idx], np.log(series.spread)[idx]], axis=1)
+    # A one-observation window has a NaN std and is kept (NaN < 1e-10 is False).
+    keep = ~(np.std(xy[:, 0], axis=1, ddof=1) < 1e-10)
+    first, xy = idx[keep, 0], xy[keep]
+    mean = xy.mean(axis=2)
+    d = xy - mean[:, :, None]
+    cov = d @ d.transpose(0, 2, 1) * (1.0 / w)
+    ssxm, ssxym, ssym = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    flat = np.ptp(xy[:, 1], axis=1) == 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+        slope = np.where(flat, 0.0, ssxym / ssxm)
+        # Squared in Python, as linregress squares its scalar r: libm pow
+        # can differ from r * r in the last bit.
+        r2 = np.where(flat, 1.0, [v**2 for v in r.tolist()])
+        stderr = np.sqrt((1.0 - r2) * ssym / ssxm / (w - 2)) if w > 2 else np.zeros_like(r2)
+    intercept = np.where(flat, xy[:, 1, 0], mean[:, 1] - slope * mean[:, 0])
+    name, dates = series.name, series.dates
+    return [
+        SignalRecord(name, dates[i], dates[i + w - 1], -b / 2.0, a, min(q, 1.0), w, e)
+        for i, b, a, q, e in zip(
+            first.tolist(), slope.tolist(), intercept.tolist(), r2.tolist(), stderr.tolist()
+        )
+    ]
 
 
 def extract_nu(
@@ -188,15 +213,19 @@ def extract_nu(
 
     nu_hat = -slope / 2, a_tilde = intercept; r_squared and the slope
     standard error are kept as fit diagnostics. Raises InsufficientData
-    below min_window observations and DegeneratePrices when the
-    log-price variation is too small to identify a slope.
+    below min_window observations (or with none at all) and
+    DegeneratePrices when the log-price variation is too small to
+    identify a slope.
     """
-    obs = [o for o in series.observations if window_start <= o.date <= window_end]
-    if len(obs) < min_window:
-        raise InsufficientData(
-            f"{series.name}: {len(obs)} observations in window, need >= {min_window}"
-        )
-    return _fit(series.name, obs)
+    lo = bisect.bisect_left(series.dates, window_start)
+    n = bisect.bisect_right(series.dates, window_end) - lo
+    need = max(min_window, 1)
+    if n < need:
+        raise InsufficientData(f"{series.name}: {max(n, 0)} observations in window, need >= {need}")
+    records = _fits(series, [lo], n)
+    if not records:
+        raise DegeneratePrices(f"{series.name}: log-price sample std < 1e-10, slope undefined")
+    return records[0]
 
 
 def rolling_extract(
@@ -208,24 +237,23 @@ def rolling_extract(
     """Sliding-window extraction: one record per window end date.
 
     Windows are window_len consecutive observations advanced by stride;
-    a trailing partial window is not emitted. Windows that fail
-    (insufficient or degenerate data) are logged and skipped; if none
-    succeeds, EmptyResult is raised.
+    a trailing partial window is not emitted. Windows that fail (fewer
+    than min_window observations, or degenerate prices) are skipped,
+    with one warning per name giving their count and the reason; if no
+    window succeeds, EmptyResult is raised.
     """
     if window_len < 1 or stride < 1:
         raise ValidationError(f"window_len and stride must be >= 1, got {window_len}, {stride}")
-    records: list[SignalRecord] = []
-    n = len(series)
-    for i in range(0, n - window_len + 1, stride):
-        obs = series.observations[i : i + window_len]
-        if len(obs) < min_window:
-            log.warning("%s: window at %s has %d < %d observations, skipped",
-                        series.name, obs[0].date, len(obs), min_window)
-            continue
-        try:
-            records.append(_fit(series.name, obs))
-        except DataError as exc:
-            log.warning("%s: window at %s skipped: %s", series.name, obs[0].date, exc)
+    starts = range(0, len(series) - window_len + 1, stride)
+    if window_len < min_window:
+        records: list[SignalRecord] = []
+        reason = f"{window_len} < {min_window} observations"
+    else:
+        records = _fits(series, starts, window_len)
+        reason = "log-price sample std < 1e-10, slope undefined"
+    if len(records) < len(starts):
+        log.warning("%s: %d of %d windows skipped: %s",
+                    series.name, len(starts) - len(records), len(starts), reason)
     if not records:
         raise EmptyResult(f"{series.name}: no window produced a usable fit")
     return records
@@ -251,35 +279,52 @@ _SPREAD_HEADER = ["date", "price", "spread_bps"]
 _SIGNAL_HEADER = ["name", "window_start", "window_end", "nu_hat", "a_tilde", "r_squared", "n_obs"]
 
 
-def load_spread_series(path, name: str | None = None) -> SpreadSeries:
-    """Read a per-name CSV with header date,price,spread_bps (ISO dates)."""
-    path = Path(path)
-    series_name = name if name is not None else path.stem
-    observations = []
+def _read_csv(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> list:
+    """parse(row) for each data row of a CSV whose header is exactly header.
+
+    Blank lines are skipped and every other row must have the header's
+    field count. A file that cannot be opened or decoded, another
+    header, a malformed row, a wrong field count and a ValueError from
+    parse each raise DataError naming the path (and path:lineno for a
+    row).
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    out = []
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SPREAD_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_SPREAD_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[0])
-                price = float(row[1])
-                spread = float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            observations.append(SpreadObservation(date=date, price=price, spread=spread))
-    if not observations:
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise DataError(f"{path}: expected header {','.join(header)}, got {got}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                out.append(parse(row))
+        except UnicodeDecodeError as exc:
+            # Text is decoded a block at a time, so no line number fits.
+            raise DataError(f"{path}: {exc}") from exc
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    return out
+
+
+def load_spread_series(path, name: str | None = None) -> SpreadSeries:
+    """Read a per-name CSV with header date,price,spread_bps (ISO dates)."""
+    path = Path(path)
+    rows = _read_csv(
+        path, _SPREAD_HEADER, lambda r: (dt.date.fromisoformat(r[0]), float(r[1]), float(r[2]))
+    )
+    if not rows:
         raise DataError(f"{path}: no observations")
-    return SpreadSeries(name=series_name, observations=tuple(observations))
+    dates, price, spread = zip(*rows)
+    return SpreadSeries(name if name is not None else path.stem, dates, price, spread)
 
 
 def write_signals_csv(records: Iterable[SignalRecord], path) -> None:
@@ -296,33 +341,13 @@ def write_signals_csv(records: Iterable[SignalRecord], path) -> None:
 def load_signals_csv(path) -> dict[str, list[SignalRecord]]:
     """Read a signals CSV back into per-name record lists (stderr not kept)."""
     path = Path(path)
-    out: dict[str, list[SignalRecord]] = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SIGNAL_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_SIGNAL_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rec = SignalRecord(
-                    name=row[0],
-                    window_start=dt.date.fromisoformat(row[1]),
-                    window_end=dt.date.fromisoformat(row[2]),
-                    nu_hat=float(row[3]),
-                    a_tilde=float(row[4]),
-                    r_squared=float(row[5]),
-                    n_obs=int(row[6]),
-                    slope_stderr=float("nan"),
-                )
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            out.setdefault(rec.name, []).append(rec)
-    if not out:
+    records = _read_csv(path, _SIGNAL_HEADER, lambda r: SignalRecord(
+        r[0], dt.date.fromisoformat(r[1]), dt.date.fromisoformat(r[2]),
+        float(r[3]), float(r[4]), float(r[5]), int(r[6]), slope_stderr=float("nan"),
+    ))
+    if not records:
         raise EmptyResult(f"{path}: no signal records")
+    out: dict[str, list[SignalRecord]] = {}
+    for rec in records:
+        out.setdefault(rec.name, []).append(rec)
     return out

@@ -21,13 +21,14 @@ uses normal i of each step's substream.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import Direction, ModelParams
+from .model import Direction, ModelParams, _require_starting_side
 
 __all__ = [
     "SimConfig",
@@ -190,16 +191,15 @@ def mc_transition_prob(params: ModelParams, cfg: SimConfig, direction: Direction
 
     Terminal-time comparison (X_T <= x_star counts as distressed, >=
     as healthy), matching the closed-form definition; not a
-    first-passage statistic. std_error is sqrt(p (1 - p) / n).
+    first-passage statistic. std_error is sqrt(p (1 - p) / n). Takes
+    one ModelParams and one start for all paths; per-path inputs raise
+    ValidationError.
     """
-    if direction is Direction.HEALTHY_TO_DISTRESSED and cfg.x0 < params.x_star:
+    if not isinstance(params, ModelParams) or not isinstance(cfg.x0, numbers.Real):
         raise ValidationError(
-            f"healthy-to-distressed requires x0 >= x_star, got x0={cfg.x0} < {params.x_star}"
+            "mc_transition_prob takes one ModelParams and one start x0 for all paths"
         )
-    if direction is Direction.DISTRESSED_TO_HEALTHY and cfg.x0 > params.x_star:
-        raise ValidationError(
-            f"distressed-to-healthy requires x0 <= x_star, got x0={cfg.x0} > {params.x_star}"
-        )
+    _require_starting_side(cfg.x0, params.x_star, direction)
     xt = terminal_values(params, cfg)
     if direction is Direction.HEALTHY_TO_DISTRESSED:
         hits = xt <= params.x_star

@@ -184,6 +184,19 @@ def _require_diffusive(params: ModelParams) -> None:
         raise ValidationError("sigma = 0 has no transition density (degenerate case)")
 
 
+def _require_starting_side(x0: float, x_star: float, direction: Direction) -> None:
+    """x0 must lie on the side of x_star that direction starts from;
+    x0 = x_star is on both sides."""
+    if direction is Direction.HEALTHY_TO_DISTRESSED and x0 < x_star:
+        raise ValidationError(
+            f"healthy-to-distressed requires x0 >= x_star, got x0={x0} < {x_star}"
+        )
+    if direction is Direction.DISTRESSED_TO_HEALTHY and x0 > x_star:
+        raise ValidationError(
+            f"distressed-to-healthy requires x0 <= x_star, got x0={x0} > {x_star}"
+        )
+
+
 def density_profile(params: ModelParams, x, x0: float, t: float):
     """Transition density evaluated at an array of terminal log-prices.
 
@@ -300,14 +313,7 @@ def regime_transition_prob_finite(
     _require_diffusive(params)
     if not (horizon > 0):
         raise ValidationError(f"horizon must be > 0, got {horizon}")
-    if direction is Direction.HEALTHY_TO_DISTRESSED and x0 < params.x_star:
-        raise ValidationError(
-            f"healthy-to-distressed requires x0 >= x_star, got x0={x0} < {params.x_star}"
-        )
-    if direction is Direction.DISTRESSED_TO_HEALTHY and x0 > params.x_star:
-        raise ValidationError(
-            f"distressed-to-healthy requires x0 <= x_star, got x0={x0} > {params.x_star}"
-        )
+    _require_starting_side(x0, params.x_star, direction)
     if x0 == params.x_star:
         return RegimeProbability(0.5, direction, horizon)
     p = _finite_prob_quadrature(params, x0, horizon, direction)
@@ -328,14 +334,7 @@ def default_prob_asymptotic(
     if not (s0 > 0):
         raise ValidationError(f"s0 must be > 0, got {s0}")
     x0 = math.log(s0)
-    if direction is Direction.HEALTHY_TO_DISTRESSED and x0 < params.x_star:
-        raise ValidationError(
-            f"healthy-to-distressed requires S0 >= S_star, got S0={s0} < {params.s_star}"
-        )
-    if direction is Direction.DISTRESSED_TO_HEALTHY and x0 > params.x_star:
-        raise ValidationError(
-            f"distressed-to-healthy requires S0 <= S_star, got S0={s0} > {params.s_star}"
-        )
+    _require_starting_side(x0, params.x_star, direction)
     lam = 2.0 * params.nu * (x0 - params.x_star)
     if direction is Direction.HEALTHY_TO_DISTRESSED:
         value = float(expit(-lam))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .cds import SignalRecord
 from .errors import (
@@ -318,13 +317,26 @@ def backtest(
     )
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+
+
 def signal_quality(true_nu: dict[str, float], extracted: dict[str, float]) -> float:
     """Spearman rank correlation of extracted nu_hat against the truth.
 
     Computed over the names common to both inputs; needs at least 3.
+    The Pearson correlation of average ranks, as scipy.stats.spearmanr
+    computes it; NaN if an input is constant or holds a NaN.
     """
     common = sorted(set(true_nu) & set(extracted))
     if len(common) < 3:
         raise TooFewNames(f"{len(common)} common names, need >= 3")
-    res = spearmanr([true_nu[n] for n in common], [extracted[n] for n in common])
-    return float(res.statistic)
+    a = np.array([true_nu[n] for n in common], dtype=float)
+    b = np.array([extracted[n] for n in common], dtype=float)
+    if np.isnan(a).any() or np.isnan(b).any():
+        return math.nan
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])

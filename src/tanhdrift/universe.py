@@ -20,7 +20,6 @@ deterministic function of the seed, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import logging
 import math
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .cds import SpreadModelConfig
+from .cds import SpreadModelConfig, _read_csv
 from .errors import DataError, ValidationError
 from .mc import SimConfig, simulate
 from .model import ModelParams
@@ -192,45 +191,13 @@ def load_manifest(path) -> list[tuple[str, Path, Path]]:
     """Read manifest.csv; file paths are resolved relative to it."""
     path = Path(path)
     base = path.parent
-    rows: list[tuple[str, Path, Path]] = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _MANIFEST_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_MANIFEST_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            rows.append((row[0], base / row[1], base / row[2]))
-    return rows
+    return _read_csv(path, _MANIFEST_HEADER, lambda r: (r[0], base / r[1], base / r[2]))
 
 
 def load_price_series(path) -> list[tuple[dt.date, float]]:
     """Read a per-name price CSV with header date,price (ISO dates)."""
     path = Path(path)
-    out: list[tuple[dt.date, float]] = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _PRICE_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_PRICE_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out.append((dt.date.fromisoformat(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    out = _read_csv(path, _PRICE_HEADER, lambda r: (dt.date.fromisoformat(r[0]), float(r[1])))
     if not out:
         raise DataError(f"{path}: no price rows")
     return out
@@ -239,23 +206,7 @@ def load_price_series(path) -> list[tuple[dt.date, float]]:
 def load_truth(path) -> dict[str, float]:
     """Read truth.csv into name -> true nu."""
     path = Path(path)
-    out: dict[str, float] = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _TRUTH_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_TRUTH_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out[row[0]] = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    out = dict(_read_csv(path, _TRUTH_HEADER, lambda r: (r[0], float(r[1]))))
     if not out:
         raise DataError(f"{path}: no truth rows")
     return out

@@ -176,15 +176,12 @@ def test_criterion_06_boundary_symmetry():
 
 def test_criterion_07_regression_identifiability():
     series = test_cds._line_series(21, a_tilde=3.0, nu=0.8)
-    first, last = series.observations[0].date, series.observations[-1].date
+    first, last = series.dates[0], series.dates[-1]
     rec = extract_nu(series, first, last)
     ok = abs(rec.nu_hat - 0.8) < 1e-10 and abs(rec.a_tilde - 3.0) < 1e-10
     worst_nu, worst_a = 0.0, 0.0
     for c in (7.0, 1e-3, 2.5e4):
-        scaled = test_cds._series(
-            [o.price for o in series.observations],
-            [o.spread * c for o in series.observations],
-        )
+        scaled = test_cds._series(series.price, series.spread * c)
         rec_c = extract_nu(scaled, first, last)
         worst_nu = max(worst_nu, abs(rec_c.nu_hat - rec.nu_hat))
         worst_a = max(worst_a, abs((rec_c.a_tilde - rec.a_tilde) - math.log(c)))

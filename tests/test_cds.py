@@ -1,16 +1,21 @@
 """Spread synthesis and log-log regression extraction."""
 
+import csv
 import datetime as dt
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import linregress
 
 import tanhdrift as td
 from tanhdrift.cds import (
     SignalRecord,
     SpreadModelConfig,
-    SpreadObservation,
     SpreadSeries,
     extract_nu,
     implied_s_star,
@@ -20,6 +25,7 @@ from tanhdrift.cds import (
     synth_spread,
     write_signals_csv,
 )
+from tanhdrift.universe import load_manifest, load_price_series, load_truth
 
 from oracles import exact_log_default_prob, ols_fit
 
@@ -29,11 +35,7 @@ def _dates(n, start=dt.date(2021, 1, 4)):
 
 
 def _series(prices, spreads, name="X"):
-    obs = tuple(
-        SpreadObservation(date=d, price=float(p), spread=float(z))
-        for d, p, z in zip(_dates(len(prices)), prices, spreads)
-    )
-    return SpreadSeries(name=name, observations=obs)
+    return SpreadSeries(name, _dates(len(prices)), prices, spreads)
 
 
 def _line_series(n, a_tilde, nu, lo=100.0, hi=140.0, name="X"):
@@ -46,21 +48,41 @@ def _line_series(n, a_tilde, nu, lo=100.0, hi=140.0, name="X"):
 # types
 
 
-def test_observation_rejects_nonpositive():
-    with pytest.raises(td.NonPositiveValue):
-        SpreadObservation(date=dt.date(2021, 1, 4), price=0.0, spread=10.0)
-    with pytest.raises(td.NonPositiveValue):
-        SpreadObservation(date=dt.date(2021, 1, 4), price=10.0, spread=-1.0)
+def test_series_rejects_nonpositive_naming_first_bad_date():
+    d = _dates(4)
+    with pytest.raises(td.NonPositiveValue, match=f"price .* -1.0 on {d[1]}"):
+        SpreadSeries("X", d, [10.0, -1.0, 0.0, 10.0], [5.0] * 4)
+    with pytest.raises(td.NonPositiveValue, match=f"spread .* 0.0 on {d[2]}"):
+        SpreadSeries("X", d, [10.0] * 4, [5.0, 5.0, 0.0, 5.0])
+    with pytest.raises(td.NonPositiveValue, match=f"price .* nan on {d[3]}"):
+        SpreadSeries("X", d, [10.0, 10.0, 10.0, math.nan], [5.0] * 4)
 
 
 def test_series_requires_increasing_dates():
     d = dt.date(2021, 1, 4)
-    obs = (
-        SpreadObservation(date=d, price=10.0, spread=5.0),
-        SpreadObservation(date=d, price=11.0, spread=5.0),
-    )
     with pytest.raises(td.ValidationError):
-        SpreadSeries(name="X", observations=obs)
+        SpreadSeries("X", [d, d], [10.0, 11.0], [5.0, 5.0])
+    with pytest.raises(td.ValidationError):
+        SpreadSeries("X", [d, d - dt.timedelta(days=1)], [10.0, 11.0], [5.0, 5.0])
+
+
+def test_series_rejects_mismatched_lengths():
+    with pytest.raises(td.ValidationError):
+        SpreadSeries("X", _dates(3), [10.0, 11.0], [5.0, 5.0, 5.0])
+    with pytest.raises(td.ValidationError):
+        SpreadSeries("X", _dates(2), [10.0, 11.0], [5.0, 5.0, 5.0])
+    with pytest.raises(td.ValidationError):
+        SpreadSeries("X", _dates(2), [[10.0, 11.0]], [[5.0, 5.0]])
+
+
+def test_series_holds_read_only_copies():
+    prices = np.array([10.0, 11.0])
+    series = SpreadSeries("X", _dates(2), prices, [5.0, 6.0])
+    prices[0] = 99.0
+    assert series.price[0] == 10.0
+    assert len(series) == 2
+    with pytest.raises(ValueError):
+        series.price[1] = 1.0
 
 
 def test_spread_config_normalization():
@@ -114,7 +136,7 @@ def test_synth_spread_rejects_distressed_start():
 
 def test_exact_line_recovered():
     series = _line_series(21, a_tilde=3.0, nu=0.8)
-    rec = extract_nu(series, series.observations[0].date, series.observations[-1].date)
+    rec = extract_nu(series, series.dates[0], series.dates[-1])
     assert rec.nu_hat == pytest.approx(0.8, abs=1e-10)
     assert rec.a_tilde == pytest.approx(3.0, abs=1e-10)
     assert rec.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +153,7 @@ def test_extraction_matches_independent_ols():
     prices = np.exp(np.linspace(math.log(140.0), math.log(160.0), 21))
     spreads = [synth_spread(params, cfg, float(s)) for s in prices]
     series = _series(prices, spreads)
-    rec = extract_nu(series, series.observations[0].date, series.observations[-1].date)
+    rec = extract_nu(series, series.dates[0], series.dates[-1])
     intercept, slope = ols_fit(np.log(prices), math.log(cfg.b) + exact_log_default_prob(1.0, 100.0, prices))
     assert rec.nu_hat == pytest.approx(-slope / 2.0, abs=1e-10)
     assert rec.a_tilde == pytest.approx(intercept, abs=1e-8)
@@ -161,7 +183,7 @@ def test_degenerate_prices_rejected():
 def test_insufficient_data_rejected():
     series = _line_series(10, a_tilde=3.0, nu=0.8)
     with pytest.raises(td.InsufficientData):
-        extract_nu(series, series.observations[0].date, series.observations[-1].date)
+        extract_nu(series, series.dates[0], series.dates[-1])
     # a narrower window over a long series trips the same check
     long_series = _line_series(40, a_tilde=3.0, nu=0.8)
     with pytest.raises(td.InsufficientData):
@@ -197,7 +219,7 @@ def test_intercept_relation_on_linearized_data():
     cfg = SpreadModelConfig(recovery_rate=0.4, maturity=5.0)
     a_tilde = 2.0 * nu_true * math.log(s_star) + math.log(cfg.b)
     series = _line_series(25, a_tilde=a_tilde, nu=nu_true, lo=400.0, hi=520.0)
-    rec = extract_nu(series, series.observations[0].date, series.observations[-1].date)
+    rec = extract_nu(series, series.dates[0], series.dates[-1])
     assert rec.a_tilde == pytest.approx(a_tilde, abs=1e-8)
     assert rec.nu_hat == pytest.approx(nu_true, abs=1e-10)
     assert implied_s_star(rec.nu_hat, rec.a_tilde, cfg) == pytest.approx(s_star, rel=1e-8)
@@ -219,10 +241,10 @@ def test_rolling_window_count():
     series = _line_series(42, a_tilde=3.0, nu=0.8)
     records = rolling_extract(series, window_len=21, stride=21)
     assert len(records) == 2
-    assert records[0].window_start == series.observations[0].date
-    assert records[0].window_end == series.observations[20].date
-    assert records[1].window_start == series.observations[21].date
-    assert records[1].window_end == series.observations[41].date
+    assert records[0].window_start == series.dates[0]
+    assert records[0].window_end == series.dates[20]
+    assert records[1].window_start == series.dates[21]
+    assert records[1].window_end == series.dates[41]
 
 
 def test_rolling_piecewise_regimes():
@@ -247,19 +269,127 @@ def test_rolling_all_degenerate_is_empty():
 
 
 def test_rolling_skips_bad_windows(caplog):
-    prices = np.concatenate([np.full(21, 77.0), np.exp(np.linspace(4.6, 4.8, 21))])
+    prices = np.concatenate([np.full(42, 77.0), np.exp(np.linspace(4.6, 4.8, 21))])
     spreads = np.exp(3.0 - 1.0 * np.log(prices))
-    records = rolling_extract(_series(prices, spreads), window_len=21, stride=21)
+    with caplog.at_level(logging.WARNING, logger="tanhdrift.cds"):
+        records = rolling_extract(_series(prices, spreads), window_len=21, stride=21)
     assert len(records) == 1
     assert records[0].nu_hat == pytest.approx(0.5, abs=1e-10)
+    # one line for the name, with the count and the reason
+    assert len(caplog.records) == 1
+    assert "2 of 3 windows skipped" in caplog.records[0].getMessage()
+    assert "std < 1e-10" in caplog.records[0].getMessage()
 
 
-def test_rolling_window_shorter_than_min_is_empty():
+def test_rolling_window_shorter_than_min_is_empty(caplog):
     series = _line_series(30, a_tilde=3.0, nu=0.8)
-    with pytest.raises(td.EmptyResult):
-        rolling_extract(series, window_len=10, stride=10)
+    with caplog.at_level(logging.WARNING, logger="tanhdrift.cds"):
+        with pytest.raises(td.EmptyResult):
+            rolling_extract(series, window_len=10, stride=10)
+    assert len(caplog.records) == 1
+    assert "3 of 3 windows skipped: 10 < 15 observations" in caplog.records[0].getMessage()
     with pytest.raises(td.ValidationError):
         rolling_extract(series, window_len=0, stride=5)
+    with pytest.raises(td.ValidationError):
+        rolling_extract(series, window_len=5, stride=0)
+
+
+def test_rolling_series_shorter_than_window_is_empty():
+    with pytest.raises(td.EmptyResult):
+        rolling_extract(_line_series(20, a_tilde=3.0, nu=0.8), window_len=21, stride=1)
+
+
+def test_rolling_one_observation_windows_fit_flat():
+    # A single point has a NaN sample std, so it is not skipped as
+    # degenerate; its spreads are constant, which fits slope 0 exactly.
+    series = _line_series(5, a_tilde=3.0, nu=0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        records = rolling_extract(series, window_len=1, stride=2, min_window=1)
+    assert [r.window_start for r in records] == [series.dates[i] for i in (0, 2, 4)]
+    for r, i in zip(records, (0, 2, 4)):
+        assert r.window_end == r.window_start
+        assert r.nu_hat == 0.0 and math.copysign(1.0, r.nu_hat) == -1.0
+        assert r.a_tilde == math.log(series.spread[i])
+        assert (r.r_squared, r.n_obs, r.slope_stderr) == (1.0, 1, 0.0)
+
+
+def test_rolling_two_observation_windows_are_exact_lines():
+    series = _line_series(6, a_tilde=3.0, nu=0.8)
+    records = rolling_extract(series, window_len=2, stride=3, min_window=2)
+    assert [r.window_end for r in records] == [series.dates[1], series.dates[4]]
+    for r in records:
+        assert r.nu_hat == pytest.approx(0.8, rel=1e-10)
+        assert r.a_tilde == pytest.approx(3.0, rel=1e-10)
+        assert r.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert r.slope_stderr == 0.0
+
+
+def test_extract_nu_window_selection_by_date():
+    line = _line_series(40, a_tilde=3.0, nu=0.8)
+    # observations every other day
+    d = [dt.date(2021, 1, 4) + dt.timedelta(days=2 * i) for i in range(40)]
+    series = SpreadSeries("X", d, line.price, line.spread)
+    rec = extract_nu(series, d[5], d[24])
+    assert (rec.window_start, rec.window_end, rec.n_obs) == (d[5], d[24], 20)
+    # bounds between observation dates select the observations inside
+    one = dt.timedelta(days=1)
+    rec = extract_nu(series, d[5] - one, d[24] + one)
+    assert (rec.window_start, rec.window_end, rec.n_obs) == (d[5], d[24], 20)
+    rec = extract_nu(series, d[5] + one, d[24] - one)
+    assert (rec.window_start, rec.window_end, rec.n_obs) == (d[6], d[23], 18)
+    with pytest.raises(td.InsufficientData):
+        extract_nu(series, d[10], d[5], min_window=0)
+    with pytest.raises(td.InsufficientData):
+        extract_nu(series, d[-1] + dt.timedelta(days=1), d[-1] + dt.timedelta(days=9), min_window=0)
+
+
+# Prices and spreads from small sets give repeated values, constant-price
+# windows (skipped) and constant-spread windows (slope 0, r^2 = 1).
+_windowed = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([40.0, 55.0, 55.0, 70.0, 123.5]), min_size=n, max_size=n),
+    st.lists(st.sampled_from([3.0, 3.0, 17.25, 60.0, 900.0]), min_size=n, max_size=n),
+    st.integers(1, n + 2),  # window_len
+    st.integers(1, 2 * n + 5),  # stride, often > window_len
+    st.integers(0, 25),  # min_window, sometimes > window_len
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windowed)
+def test_rolling_every_window_matches_per_window_ols(case):
+    prices, spreads, window_len, stride, min_window = case
+    series = _series(prices, spreads)
+    ln_s, ln_z = np.log(prices), np.log(spreads)
+    expected = []
+    for i in range(0, len(prices) - window_len + 1, stride):
+        x, y = ln_s[i : i + window_len], ln_z[i : i + window_len]
+        if window_len < min_window or (window_len > 1 and np.std(x, ddof=1) < 1e-10):
+            continue
+        expected.append((i, x, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # std of one point
+        if not expected:
+            with pytest.raises(td.EmptyResult):
+                rolling_extract(series, window_len, stride, min_window)
+            return
+        records = rolling_extract(series, window_len, stride, min_window)
+    assert len(records) == len(expected)
+    close = dict(rel=1e-12, abs=1e-12)
+    for rec, (i, x, y) in zip(records, expected):
+        assert (rec.window_start, rec.window_end) == (series.dates[i], series.dates[i + window_len - 1])
+        assert rec.n_obs == window_len
+        if np.ptp(y) == 0.0:
+            assert (rec.nu_hat, rec.a_tilde, rec.r_squared, rec.slope_stderr) == (0.0, y[0], 1.0, 0.0)
+            continue
+        res = linregress(x, y)
+        assert rec.nu_hat == pytest.approx(-res.slope / 2.0, **close)
+        assert rec.a_tilde == pytest.approx(res.intercept, **close)
+        assert rec.r_squared == pytest.approx(min(res.rvalue**2, 1.0), **close)
+        assert rec.slope_stderr == pytest.approx(res.stderr, **close)
+        intercept, slope = ols_fit(x, y)
+        assert rec.nu_hat == pytest.approx(-slope / 2.0, **close)
+        assert rec.a_tilde == pytest.approx(intercept, **close)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +401,13 @@ def test_spread_series_csv_roundtrip(tmp_path):
     path = tmp_path / "ACME.csv"
     with open(path, "w") as fh:
         fh.write("date,price,spread_bps\n")
-        for o in series.observations:
-            fh.write(f"{o.date.isoformat()},{o.price!r},{o.spread!r}\n")
+        for d, p, z in zip(series.dates, series.price.tolist(), series.spread.tolist()):
+            fh.write(f"{d.isoformat()},{p!r},{z!r}\n")
     loaded = load_spread_series(path)
     assert loaded.name == "ACME"
-    assert loaded.observations == series.observations
+    assert loaded.dates == series.dates
+    assert np.array_equal(loaded.price, series.price)
+    assert np.array_equal(loaded.spread, series.spread)
 
 
 def test_spread_series_bad_header(tmp_path):
@@ -310,3 +442,91 @@ def test_signals_csv_roundtrip(tmp_path):
     assert len(loaded["A"]) == 2
     assert loaded["A"][0].nu_hat == 1.25
     assert loaded["B"][0].window_end == dt.date(2021, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# one CSV reader behind every loader: (loader, header, good row, row with a
+# bad value or None, what an empty file gives)
+
+_LOADERS = {
+    "spread": (load_spread_series, "date,price,spread_bps", "2021-01-04,10.0,5.0",
+               "2021-01-04,ten,5.0", td.DataError),
+    "signals": (load_signals_csv, "name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs",
+                "A,2021-01-04,2021-02-01,1.25,7.5,0.99,21", "A,2021-01-04,2021-02-01,1.25,7.5,0.99,x",
+                td.EmptyResult),
+    "manifest": (load_manifest, "name,price_file,spread_file", "A,prices/A.csv,spreads/A.csv",
+                 None, list),
+    "prices": (load_price_series, "date,price", "2021-01-04,10.0", "2021-13-04,10.0", td.DataError),
+    "truth": (load_truth, "name,nu,sigma,s_star,s0", "A,1.5,0.2,50.0,400.0",
+              "A,nu,0.2,50.0,400.0", td.DataError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loader_reads_rows_and_skips_blank_lines(tmp_path, kind):
+    load, header, good, _bad, _empty = _LOADERS[kind]
+    path = tmp_path / "f.csv"
+    path.write_text(f"{header}\n\n{good}\n\n")
+    assert len(load(path)) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loader_rejects_missing_file(tmp_path, kind):
+    with pytest.raises(td.DataError, match="cannot open"):
+        _LOADERS[kind][0](tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loader_rejects_wrong_header(tmp_path, kind):
+    load, header, good, _bad, _empty = _LOADERS[kind]
+    path = tmp_path / "f.csv"
+    path.write_text(f"{header},extra\n{good},1\n")
+    with pytest.raises(td.DataError, match="expected header"):
+        load(path)
+    path.write_text(f"{header.upper()}\n{good}\n")
+    with pytest.raises(td.DataError, match="expected header"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loader_rejects_wrong_field_count(tmp_path, kind):
+    load, header, good, _bad, _empty = _LOADERS[kind]
+    path = tmp_path / "f.csv"
+    for row in (f"{good},extra", good.rsplit(",", 1)[0]):
+        path.write_text(f"{header}\n{good}\n\n{row}\n")
+        with pytest.raises(td.DataError, match=r"f\.csv:4: expected \d+ fields"):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loader_rejects_undecodable_or_malformed_text(tmp_path, kind):
+    load, header, good, _bad, _empty = _LOADERS[kind]
+    path = tmp_path / "f.csv"
+    path.write_bytes(f"{header}\n{good}\n".encode() + b"\xff\xfe,1\n")
+    with pytest.raises(td.DataError, match="codec can't decode"):
+        load(path)
+    path.write_text(f"{header}\n{good}\n" + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(td.DataError, match=r"f\.csv:3: field larger than field limit"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in _LOADERS if _LOADERS[k][3] is not None))
+def test_loader_rejects_bad_value(tmp_path, kind):
+    load, header, good, bad, _empty = _LOADERS[kind]
+    path = tmp_path / "f.csv"
+    path.write_text(f"{header}\n{good}\n{bad}\n")
+    with pytest.raises(td.DataError, match=r"f\.csv:3: "):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loader_empty_file_rule(tmp_path, kind):
+    load, header, _good, _bad, empty = _LOADERS[kind]
+    path = tmp_path / "f.csv"
+    path.write_text(f"{header}\n\n")
+    if empty is list:
+        assert load(path) == []
+        return
+    with pytest.raises(empty) as info:
+        load(path)
+    assert (info.type is td.EmptyResult) == (empty is td.EmptyResult)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,12 @@ def _tree_bytes(root: Path, skip=()) -> dict[str, bytes]:
         if p.is_file() and p.name not in skip:
             out[str(p.relative_to(root))] = p.read_bytes()
     return out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(td.__file__).resolve().parents[1])
+    code = "import sys, tanhdrift.cli; assert 'scipy.stats' not in sys.modules, 'scipy.stats'"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,23 @@ def test_transition_prob_wrong_side_rejected():
         mc_transition_prob(p, cfg, H2D)
 
 
+def test_transition_prob_rejects_per_path_start():
+    p = td.ModelParams(nu=1.0, sigma=0.3, x_star=0.0)
+    for x0 in ((0.5, 0.7), [0.5, 0.7]):
+        cfg = SimConfig(n_paths=2, dt=0.01, horizon=1.0, seed=1, x0=x0)
+        for direction in (H2D, D2H):
+            with pytest.raises(td.ValidationError):
+                mc_transition_prob(p, cfg, direction)
+
+
+def test_transition_prob_rejects_per_path_params():
+    p = td.ModelParams(nu=1.0, sigma=0.3, x_star=0.0)
+    cfg = SimConfig(n_paths=2, dt=0.01, horizon=1.0, seed=1, x0=0.5)
+    for params in ([p, p], (p, p)):
+        with pytest.raises(td.ValidationError):
+            mc_transition_prob(params, cfg, H2D)
+
+
 def test_transition_prob_matches_quadrature():
     p = td.ModelParams(nu=1.0, sigma=0.5, x_star=0.0)
     cfg = SimConfig(n_paths=100_000, dt=0.01, horizon=2.0, seed=23, x0=0.6)

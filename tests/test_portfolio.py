@@ -2,12 +2,14 @@
 
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 import tanhdrift as td
-from tanhdrift.cds import SignalRecord, SpreadModelConfig, SpreadObservation, SpreadSeries, rolling_extract, synth_spread
+from tanhdrift.cds import SignalRecord, SpreadModelConfig, SpreadSeries, rolling_extract, synth_spread
 from tanhdrift.portfolio import (
     RebalanceSchedule,
     UniverseSnapshot,
@@ -262,11 +264,8 @@ def test_rescaling_spreads_leaves_weights_identical():
         prices[name] = [(d, float(p)) for d, p in zip(days, level)]
         spreads = np.array([synth_spread(params, cfg, float(p)) for p in level])
         for scale, bucket in ((1.0, base_signals), (7.0, scaled_signals)):
-            obs = tuple(
-                SpreadObservation(date=d, price=float(p), spread=float(scale * z))
-                for d, p, z in zip(days, level, spreads)
-            )
-            bucket[name] = rolling_extract(SpreadSeries(name=name, observations=obs), 21, 21)
+            series = SpreadSeries(name, days, level, scale * spreads)
+            bucket[name] = rolling_extract(series, 21, 21)
     a = backtest(prices, base_signals, RebalanceSchedule(every=21))
     b = backtest(prices, scaled_signals, RebalanceSchedule(every=21))
     assert [s.weights for s in a.rebalances] == [s.weights for s in b.rebalances]
@@ -282,6 +281,31 @@ def test_signal_quality_perfect_and_reversed():
     assert signal_quality(true, dict(true)) == pytest.approx(1.0, abs=1e-12)
     flipped = {k: -v for k, v in true.items()}
     assert signal_quality(true, flipped) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_signal_quality_matches_scipy_spearman_with_ties():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        # few distinct values, so most draws have ties in both inputs
+        a = rng.integers(0, rng.integers(2, 8), n).astype(float)
+        b = np.round(rng.normal(size=n), int(rng.integers(0, 2)))
+        names = [f"N{i}" for i in range(n)]
+        got = signal_quality(dict(zip(names, a)), dict(zip(names, b)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant input
+            want = float(spearmanr(a, b).statistic)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_signal_quality_nan_for_constant_or_nan_input():
+    names = ["A", "B", "C", "D"]
+    true = dict(zip(names, [1.0, 2.0, 3.0, 4.0]))
+    assert math.isnan(signal_quality(true, dict.fromkeys(names, 0.5)))
+    assert math.isnan(signal_quality(true, dict(zip(names, [1.0, math.nan, 3.0, 4.0]))))
 
 
 def test_signal_quality_needs_three_common_names():
