@@ -26,6 +26,7 @@ from .errors import (
     TanhDriftError,
     ToleranceError,
     TooFewNames,
+    TooFewPriceDays,
     UniverseTooSmall,
     ValidationError,
 )
@@ -72,5 +73,6 @@ __all__ = [
     "UniverseTooSmall",
     "TooFewNames",
     "NoOverlap",
+    "TooFewPriceDays",
     "__version__",
 ]

@@ -222,8 +222,13 @@ def _resolve_options(command: str, args: argparse.Namespace) -> dict:
             resolved[o.name] = _coerce(o, from_config[o.name])
         else:
             resolved[o.name] = False if o.flag else o.default
+        flag = "--" + o.name.replace("_", "-")
         if o.required and resolved[o.name] is None:
-            raise ValidationError(f"{command}: missing required option --{o.name.replace('_', '-')}")
+            raise ValidationError(f"{command}: missing required option {flag}")
+        value = resolved[o.name]
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValidationError(f"{command}: {flag} must be finite, got {value!r}")
     return resolved
 
 
@@ -245,7 +250,7 @@ def _write_resolved_config(command: str, opts: dict, directory: Path) -> None:
     }
     name = command.replace("-", "_") + "_config.json"
     with open(directory / name, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -518,7 +523,14 @@ def cmd_backtest(opts: dict) -> int:
         extracted = {
             name: float(np.median([r.nu_hat for r in recs])) for name, recs in signals.items()
         }
-        payload["spearman_true_extracted"] = portfolio.signal_quality(true_nu, extracted)
+        rho = portfolio.signal_quality(true_nu, extracted)
+        if math.isnan(rho):
+            payload["spearman_true_extracted"] = None
+            payload["spearman_undefined_reason"] = (
+                "true or extracted nu_hat is constant or NaN over the common names"
+            )
+        else:
+            payload["spearman_true_extracted"] = rho
 
     out = Path(opts["out_dir"])
     weights_dir = out / "weights"
@@ -529,7 +541,7 @@ def cmd_backtest(opts: dict) -> int:
             for name in sorted(snap.weights):
                 fh.write(f"{name},{snap.weights[name]!r}\n")
     with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _write_resolved_config("backtest", opts, out)
 
@@ -541,7 +553,8 @@ def cmd_backtest(opts: dict) -> int:
     )
     print(f"turnover_avg={payload['turnover_avg']!r}")
     if "spearman_true_extracted" in payload:
-        print(f"spearman_true_extracted={payload['spearman_true_extracted']!r}")
+        rho = payload["spearman_true_extracted"]
+        print(f"spearman_true_extracted={'undefined' if rho is None else repr(rho)}")
     return EXIT_OK
 
 

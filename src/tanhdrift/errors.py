@@ -48,3 +48,8 @@ class TooFewNames(DataError):
 
 class NoOverlap(DataError):
     """Signal and price dates never align."""
+
+
+class TooFewPriceDays(DataError):
+    """Signals and prices align, but no signal window holds the price
+    days that realized variance needs."""

@@ -10,6 +10,14 @@ externally.
 No lookahead by construction: weights set on a rebalance date use only
 signals stamped window_end <= that date and prices up to it, and earn
 returns only from the following trading day.
+
+As-of semantics. A name's signal on date d is, among its records with
+window_end <= d, the one with the latest (window_end, window_start);
+of records with equal keys the first in input order wins. Its realized
+variance (rank_by "mu_tilde") uses the name's price days in
+[window_start, window_end] and needs at least 3 of them. A name enters
+the ranking on d only if it has a price on d. Of duplicate price dates
+the last price counts.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .errors import (
     DataError,
     NoOverlap,
     TooFewNames,
+    TooFewPriceDays,
     UniverseTooSmall,
     ValidationError,
 )
@@ -151,22 +160,50 @@ def rank_deciles(snapshot: UniverseSnapshot) -> PortfolioSnapshot:
     return PortfolioSnapshot(date=snapshot.date, weights=dict(sorted(weights.items())))
 
 
-def _latest_signal(records: list[SignalRecord], asof: dt.date) -> SignalRecord | None:
-    best = None
-    for r in records:
-        if r.window_end <= asof and (
-            best is None or (r.window_end, r.window_start) > (best.window_end, best.window_start)
-        ):
-            best = r
-    return best
+def _price_arrays(name: str, series: PriceSeries) -> tuple[np.ndarray, np.ndarray]:
+    """One name's (day ordinals, prices), sorted by day; of duplicate
+    dates the last price is kept."""
+    prices = np.array([p for _, p in series], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0)))
+    if bad.size:
+        d, p = series[bad[0]]
+        raise ValidationError(f"{name}: price must be finite and > 0, got {p} on {d}")
+    days = np.array([d.toordinal() for d, _ in series], dtype=np.int64)
+    order = np.argsort(days, kind="stable")
+    days, prices = days[order], prices[order]
+    last = np.ones(len(days), dtype=bool)
+    last[:-1] = days[1:] != days[:-1]
+    return days[last], prices[last]
 
 
-def _realized_var(series_map: dict[dt.date, float], start: dt.date, end: dt.date) -> float | None:
-    days = sorted(d for d in series_map if start <= d <= end)
-    if len(days) < 3:
-        return None
-    logs = np.log([series_map[d] for d in days])
-    return float(np.var(np.diff(logs), ddof=1)) * 252.0
+def _signal_arrays(records: list[SignalRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(window_start, window_end) ordinals and nu_hat, sorted by
+    (window_end, window_start); of equal keys the first record is kept."""
+    starts = np.array([r.window_start.toordinal() for r in records], dtype=np.int64)
+    ends = np.array([r.window_end.toordinal() for r in records], dtype=np.int64)
+    nu = np.array([r.nu_hat for r in records], dtype=float)
+    order = np.lexsort((starts, ends))
+    starts, ends, nu = starts[order], ends[order], nu[order]
+    first = np.append(True, (ends[1:] != ends[:-1]) | (starts[1:] != starts[:-1]))
+    return starts[first], ends[first], nu[first]
+
+
+def _realized_vars(
+    days: np.ndarray, prices: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Annualized variance of daily log returns over the price days in
+    each [start, end], and whether that window holds the 3 price days
+    it needs. Windows with the same day count share one np.var call."""
+    lo = np.searchsorted(days, starts, side="left")
+    n = np.searchsorted(days, ends, side="right") - lo
+    ok = n >= 3
+    var = np.zeros(len(starts))
+    diffs = np.diff(np.log(prices))
+    for m in np.unique(n[ok]):
+        rows = np.flatnonzero(n == m)
+        stack = diffs[lo[rows, None] + np.arange(m - 1)]
+        var[rows] = np.var(stack, axis=1, ddof=1) * 252.0
+    return var, ok
 
 
 def backtest(
@@ -190,67 +227,87 @@ def backtest(
 
     If the universe never reaches 10 eligible names: no signals at all
     runs a zero-weight backtest, signals that never align with prices
-    raise NoOverlap, and a universe capped below 10 raises
-    UniverseTooSmall. Rebalance dates with fewer than 10 eligible names
-    inside an otherwise viable backtest hold no positions.
+    raise NoOverlap, signals that align only where their windows lack
+    the price days for realized variance raise TooFewPriceDays, and a
+    universe capped below 10 raises UniverseTooSmall. Rebalance dates
+    with fewer than 10 eligible names inside an otherwise viable
+    backtest hold no positions.
     """
     if rank_by not in ("nu", "mu_tilde"):
         raise ValidationError(f"rank_by must be 'nu' or 'mu_tilde', got {rank_by!r}")
     if not prices:
         raise DataError("no price series supplied")
-    price_map: dict[str, dict[dt.date, float]] = {}
-    for name, series in prices.items():
-        m = {d: p for d, p in series}
-        for d, p in series:
-            if not (p > 0):
-                raise ValidationError(f"{name}: price must be > 0, got {p} on {d}")
-        price_map[name] = m
-    trading_days = sorted({d for series in prices.values() for d, _ in series})
-    if not trading_days:
+    arrays = {name: _price_arrays(name, series) for name, series in prices.items()}
+    dated = [days for days, _ in arrays.values() if days.size]
+    if not dated:
         raise DataError("price series contain no dates")
+    # The union of all price days, marked on the span of ordinals: cheaper
+    # in time and memory than np.unique over every name's days at once.
+    lo = min(int(days[0]) for days in dated)
+    seen = np.zeros(max(int(days[-1]) for days in dated) - lo + 1, dtype=bool)
+    for days in dated:
+        seen[days - lo] = True
+    day_ords = lo + np.flatnonzero(seen)
+    trading_days = [dt.date.fromordinal(int(d)) for d in day_ords]
     schedule = schedule or RebalanceSchedule()
     rebalance_dates = schedule.resolve(trading_days)
     if not rebalance_dates:
         raise ValidationError("schedule yields no rebalance dates within the data range")
-    total_records = sum(len(v) for v in signals.values())
+    reb_ords = np.array([d.toordinal() for d in rebalance_dates], dtype=np.int64)
+    reb_rows = np.searchsorted(day_ords, reb_ords)
 
-    def eligible(asof: dt.date) -> dict[str, tuple[float, float]]:
-        entries: dict[str, tuple[float, float]] = {}
-        for name, records in signals.items():
-            if name not in price_map or asof not in price_map[name]:
-                continue
-            rec = _latest_signal(records, asof)
-            if rec is None:
-                continue
-            score = rec.nu_hat
-            if rank_by == "mu_tilde":
-                var = _realized_var(price_map[name], rec.window_start, rec.window_end)
-                if var is None:
-                    continue
-                score = rec.nu_hat * var
-            entries[name] = (price_map[name][asof], score)
-        return entries
+    # Days x names price panel (NaN where a name has no price) over the
+    # names that have both prices and signals, in signal order.
+    names = [n for n, records in signals.items() if records and n in arrays]
+    column = {name: j for j, name in enumerate(names)}
+    panel = np.full((len(day_ords), len(names)), np.nan)
+    eligible = np.zeros((len(reb_ords), len(names)), dtype=bool)
+    scores = np.zeros((len(reb_ords), len(names)))
+    aligned = False
+    for j, name in enumerate(names):
+        days, px = arrays[name]
+        panel[np.searchsorted(day_ords, days), j] = px
+        starts, ends, nu = _signal_arrays(signals[name])
+        latest = np.searchsorted(ends, reb_ords, side="right") - 1
+        ok = (latest >= 0) & ~np.isnan(panel[reb_rows, j])
+        aligned |= bool(ok.any())
+        scores[:, j] = nu[latest]
+        if rank_by == "mu_tilde":
+            var, has_var = _realized_vars(days, px, starts, ends)
+            ok &= has_var[latest]
+            scores[:, j] *= var[latest]
+        eligible[:, j] = ok
 
     # Each date's eligible set is built once: its snapshot serves the peak
     # check below and the rebalance in the main loop.
-    snapshots: dict[dt.date, PortfolioSnapshot] = {}
+    snapshots: dict[int, PortfolioSnapshot] = {}
     peak = 0
-    for d in rebalance_dates:
-        entries = eligible(d)
+    for r, (d, row) in enumerate(zip(rebalance_dates, reb_rows.tolist())):
+        cols = np.flatnonzero(eligible[r])
+        entries = {
+            names[j]: (price, score)
+            for j, price, score in zip(
+                cols.tolist(), panel[row, cols].tolist(), scores[r, cols].tolist()
+            )
+        }
         peak = max(peak, len(entries))
         if len(entries) >= 10:
-            snapshots[d] = rank_deciles(UniverseSnapshot(date=d, entries=entries))
+            snapshots[row] = rank_deciles(UniverseSnapshot(date=d, entries=entries))
         else:
-            snapshots[d] = PortfolioSnapshot(date=d, weights={})
-    if total_records > 0:
+            snapshots[row] = PortfolioSnapshot(date=d, weights={})
+    if any(signals.values()):
+        if peak == 0 and aligned:
+            raise TooFewPriceDays(
+                "signals and prices align, but no signal window holds the 3 price days "
+                "realized variance needs"
+            )
         if peak == 0:
             raise NoOverlap("signals and prices never align on any rebalance date")
         if peak < 10:
             raise UniverseTooSmall(f"at most {peak} names ever eligible, need >= 10")
 
-    first = rebalance_dates[0]
+    first = int(reb_rows.min())
     weights: dict[str, float] = {}
-    last_price: dict[str, float] = {}
     daily: list[tuple[dt.date, float]] = []
     long_rets: list[float] = []
     short_rets: list[float] = []
@@ -258,39 +315,34 @@ def backtest(
     rebalances: list[PortfolioSnapshot] = []
     dropped: list[tuple[dt.date, str]] = []
 
-    for day in trading_days:
-        if day > first:
+    prev = panel[first].tolist()
+    for i in range(first, len(trading_days)):
+        day = trading_days[i]
+        if i > first:
+            now = panel[i].tolist()
             ret = 0.0
+            longs: list[float] = []
+            shorts: list[float] = []
+            # Summed name by name in weight order: the report's returns
+            # depend on the order of the additions.
             for name in list(weights):
                 w = weights[name]
-                if w == 0.0:
-                    continue
-                p_now = price_map.get(name, {}).get(day)
-                if p_now is None:
+                p_now = now[column[name]]
+                if math.isnan(p_now):
                     dropped.append((day, name))
                     del weights[name]
                     continue
-                ret += w * (p_now / last_price[name] - 1.0)
+                r = p_now / prev[column[name]] - 1.0
+                ret += w * r
+                (longs if w > 0 else shorts).append(r)
             daily.append((day, ret))
-            longs = [
-                price_map[n][day] / last_price[n] - 1.0
-                for n, w in weights.items()
-                if w > 0 and day in price_map.get(n, {})
-            ]
-            shorts = [
-                price_map[n][day] / last_price[n] - 1.0
-                for n, w in weights.items()
-                if w < 0 and day in price_map.get(n, {})
-            ]
             if longs:
                 long_rets.append(float(np.mean(longs)))
             if shorts:
                 short_rets.append(float(np.mean(shorts)))
-        for name, m in price_map.items():
-            if day in m:
-                last_price[name] = m[day]
-        if day in snapshots:
-            snap = snapshots[day]
+            prev = now
+        if i in snapshots:
+            snap = snapshots[i]
             new_weights = {n: w for n, w in snap.weights.items() if w != 0.0}
             union = set(weights) | set(new_weights)
             turnovers.append(

@@ -14,11 +14,23 @@ half-line integrals (mixture of normal CDFs) exact -- a sharp oracle
 for the quadrature-based implementations.
 """
 
+import datetime as dt
 import math
 
 import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
+
+from tanhdrift.cds import SignalRecord
+from tanhdrift.errors import DataError, NoOverlap, UniverseTooSmall, ValidationError
+from tanhdrift.portfolio import (
+    BacktestReport,
+    PortfolioSnapshot,
+    PriceSeries,
+    RebalanceSchedule,
+    UniverseSnapshot,
+    rank_deciles,
+)
 
 
 def mixture_weights(nu: float, x0: float, x_star: float) -> tuple[float, float]:
@@ -79,3 +91,174 @@ def exact_log_default_prob(nu, s_star, prices):
     directly as -log1p((S/S_star)**(2 nu))."""
     prices = np.asarray(prices, dtype=float)
     return -np.log1p((prices / s_star) ** (2.0 * nu))
+
+
+# ---------------------------------------------------------------------------
+# Backtest reference: the record-scanning backtest that portfolio.backtest
+# replaced, kept as the scalar oracle for its per-name array version.
+
+
+def _latest_signal(records: list[SignalRecord], asof: dt.date) -> SignalRecord | None:
+    best = None
+    for r in records:
+        if r.window_end <= asof and (
+            best is None or (r.window_end, r.window_start) > (best.window_end, best.window_start)
+        ):
+            best = r
+    return best
+
+
+def _realized_var(series_map: dict[dt.date, float], start: dt.date, end: dt.date) -> float | None:
+    days = sorted(d for d in series_map if start <= d <= end)
+    if len(days) < 3:
+        return None
+    logs = np.log([series_map[d] for d in days])
+    return float(np.var(np.diff(logs), ddof=1)) * 252.0
+
+
+def backtest_reference(
+    prices: dict[str, PriceSeries],
+    signals: dict[str, list[SignalRecord]],
+    schedule: RebalanceSchedule | None = None,
+    rank_by: str = "nu",
+) -> BacktestReport:
+    """Run the decile strategy over daily prices with periodic rebalances.
+
+    On each rebalance date the most recent signal per name (window_end
+    <= date, no lookahead) and that day's price form the universe;
+    rank_deciles sets the weights, held until the next rebalance. A
+    held name missing a price is dropped at its last known price and
+    flagged. Daily portfolio return is sum_i w_i (P_i,d / P_i,d-1 - 1).
+
+    rank_by "nu" ranks on raw nu_hat; "mu_tilde" ranks on
+    nu_hat * sigma_hat**2 with sigma_hat the realized annualized
+    volatility over the signal's own window (names without enough price
+    history for it are excluded that day).
+
+    If the universe never reaches 10 eligible names: no signals at all
+    runs a zero-weight backtest, signals that never align with prices
+    raise NoOverlap, and a universe capped below 10 raises
+    UniverseTooSmall. Rebalance dates with fewer than 10 eligible names
+    inside an otherwise viable backtest hold no positions.
+    """
+    if rank_by not in ("nu", "mu_tilde"):
+        raise ValidationError(f"rank_by must be 'nu' or 'mu_tilde', got {rank_by!r}")
+    if not prices:
+        raise DataError("no price series supplied")
+    price_map: dict[str, dict[dt.date, float]] = {}
+    for name, series in prices.items():
+        m = {d: p for d, p in series}
+        for d, p in series:
+            if not (p > 0):
+                raise ValidationError(f"{name}: price must be > 0, got {p} on {d}")
+        price_map[name] = m
+    trading_days = sorted({d for series in prices.values() for d, _ in series})
+    if not trading_days:
+        raise DataError("price series contain no dates")
+    schedule = schedule or RebalanceSchedule()
+    rebalance_dates = schedule.resolve(trading_days)
+    if not rebalance_dates:
+        raise ValidationError("schedule yields no rebalance dates within the data range")
+    total_records = sum(len(v) for v in signals.values())
+
+    def eligible(asof: dt.date) -> dict[str, tuple[float, float]]:
+        entries: dict[str, tuple[float, float]] = {}
+        for name, records in signals.items():
+            if name not in price_map or asof not in price_map[name]:
+                continue
+            rec = _latest_signal(records, asof)
+            if rec is None:
+                continue
+            score = rec.nu_hat
+            if rank_by == "mu_tilde":
+                var = _realized_var(price_map[name], rec.window_start, rec.window_end)
+                if var is None:
+                    continue
+                score = rec.nu_hat * var
+            entries[name] = (price_map[name][asof], score)
+        return entries
+
+    # Each date's eligible set is built once: its snapshot serves the peak
+    # check below and the rebalance in the main loop.
+    snapshots: dict[dt.date, PortfolioSnapshot] = {}
+    peak = 0
+    for d in rebalance_dates:
+        entries = eligible(d)
+        peak = max(peak, len(entries))
+        if len(entries) >= 10:
+            snapshots[d] = rank_deciles(UniverseSnapshot(date=d, entries=entries))
+        else:
+            snapshots[d] = PortfolioSnapshot(date=d, weights={})
+    if total_records > 0:
+        if peak == 0:
+            raise NoOverlap("signals and prices never align on any rebalance date")
+        if peak < 10:
+            raise UniverseTooSmall(f"at most {peak} names ever eligible, need >= 10")
+
+    first = rebalance_dates[0]
+    weights: dict[str, float] = {}
+    last_price: dict[str, float] = {}
+    daily: list[tuple[dt.date, float]] = []
+    long_rets: list[float] = []
+    short_rets: list[float] = []
+    turnovers: list[float] = []
+    rebalances: list[PortfolioSnapshot] = []
+    dropped: list[tuple[dt.date, str]] = []
+
+    for day in trading_days:
+        if day > first:
+            ret = 0.0
+            for name in list(weights):
+                w = weights[name]
+                if w == 0.0:
+                    continue
+                p_now = price_map.get(name, {}).get(day)
+                if p_now is None:
+                    dropped.append((day, name))
+                    del weights[name]
+                    continue
+                ret += w * (p_now / last_price[name] - 1.0)
+            daily.append((day, ret))
+            longs = [
+                price_map[n][day] / last_price[n] - 1.0
+                for n, w in weights.items()
+                if w > 0 and day in price_map.get(n, {})
+            ]
+            shorts = [
+                price_map[n][day] / last_price[n] - 1.0
+                for n, w in weights.items()
+                if w < 0 and day in price_map.get(n, {})
+            ]
+            if longs:
+                long_rets.append(float(np.mean(longs)))
+            if shorts:
+                short_rets.append(float(np.mean(shorts)))
+        for name, m in price_map.items():
+            if day in m:
+                last_price[name] = m[day]
+        if day in snapshots:
+            snap = snapshots[day]
+            new_weights = {n: w for n, w in snap.weights.items() if w != 0.0}
+            union = set(weights) | set(new_weights)
+            turnovers.append(
+                0.5 * math.fsum(abs(new_weights.get(n, 0.0) - weights.get(n, 0.0)) for n in union)
+            )
+            rebalances.append(snap)
+            weights = new_weights
+
+    returns = np.array([r for _, r in daily], dtype=float)
+    mean = float(np.mean(returns)) if returns.size else 0.0
+    vol = float(np.std(returns, ddof=1)) if returns.size > 1 else 0.0
+    sharpe = mean / vol * math.sqrt(252.0) if vol > 0 else None
+    return BacktestReport(
+        daily_returns=daily,
+        sharpe_annualized=sharpe,
+        mean_return=mean,
+        volatility=vol,
+        n_days=len(daily),
+        turnover_avg=float(np.mean(turnovers)) if turnovers else 0.0,
+        rebalances=rebalances,
+        dropped=dropped,
+        long_leg_mean_daily=float(np.mean(long_rets)) if long_rets else None,
+        short_leg_mean_daily=float(np.mean(short_rets)) if short_rets else None,
+    )

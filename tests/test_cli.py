@@ -358,6 +358,50 @@ def test_backtest_nine_names_exit_code(tmp_path):
     assert code == EXIT_DATA
 
 
+def _strict_json(path: Path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_backtest_one_day_windows(tmp_path, capsys):
+    # one-observation windows: every extracted nu_hat is -0.0, so the
+    # Spearman check is undefined, and no window holds the 3 price days
+    # realized variance needs
+    uni = tmp_path / "u"
+    assert _run("synth-universe", "--n-names", 12, "--days", 42, "--seed", 21,
+                "--out-dir", uni) == EXIT_OK
+    sig = tmp_path / "signals.csv"
+    assert _run("extract", "--manifest", uni / "manifest.csv", "--window", 1,
+                "--min-window", 1, "--out", sig) == EXIT_OK
+    bt = tmp_path / "bt"
+    assert _run("backtest", "--manifest", uni / "manifest.csv", "--signals", sig,
+                "--out-dir", bt, "--truth", uni / "truth.csv") == EXIT_OK
+    report = _strict_json(bt / "report.json")
+    assert report["spearman_true_extracted"] is None
+    assert "constant" in report["spearman_undefined_reason"]
+    _strict_json(bt / "backtest_config.json")
+    assert "spearman_true_extracted=undefined" in capsys.readouterr().out
+    code = _run("backtest", "--manifest", uni / "manifest.csv", "--signals", sig,
+                "--out-dir", tmp_path / "bt_mu", "--every", 1, "--rank-by", "mu-tilde")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "3 price days" in err and "never align" not in err
+
+
+def test_non_finite_option_is_a_validation_error(tmp_path, capsys):
+    base = ["density", "--nu", 1, "--sigma", 0.2, "--x0", 0, "--t", 1, "--out-dir", tmp_path / "d"]
+    assert _run(*base, "--tol-norm", "inf") == EXIT_VALIDATION
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"command": "density", "options": {"tol_fp": NaN}}')
+    assert _run(*base, "--config", cfg) == EXIT_VALIDATION
+    assert _run("synth-universe", "--n-names", 3, "--seed", 1, "--out-dir", tmp_path / "u",
+                "--nu-range", "0.5,inf") == EXIT_VALIDATION
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_backtest_spread_rescaling_leaves_weights_identical(tmp_path):
     uni, sig = _small_pipeline(tmp_path, seed=5)
     # multiply every spread by 7 and re-extract

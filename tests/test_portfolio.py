@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import tanhdrift as td
+from oracles import backtest_reference
 from tanhdrift.cds import SignalRecord, SpreadModelConfig, SpreadSeries, rolling_extract, synth_spread
 from tanhdrift.portfolio import (
     RebalanceSchedule,
@@ -146,6 +149,25 @@ def test_no_overlap_rejected():
         backtest(prices, signals, RebalanceSchedule(every=5))
 
 
+def test_windows_without_variance_days_are_not_no_overlap():
+    # signals align with prices, but each window spans one price day:
+    # mu_tilde has no realized variance for any name, nu ranks them fine
+    days = _days(10)
+    prices = _flat_universe(10, 10)
+    signals = {n: [_signal(n, days[2], float(i), start=days[2])] for i, n in enumerate(prices)}
+    by_nu = backtest(prices, signals, RebalanceSchedule(every=1), rank_by="nu")
+    assert by_nu.rebalances[2].weights
+    with pytest.raises(td.TooFewPriceDays, match="3 price days"):
+        backtest(prices, signals, RebalanceSchedule(every=1), rank_by="mu_tilde")
+
+
+def test_non_finite_price_rejected():
+    prices = _flat_universe(10, 5)
+    prices["N03"][2] = (prices["N03"][2][0], math.inf)
+    with pytest.raises(td.ValidationError, match="N03"):
+        backtest(prices, {}, RebalanceSchedule(every=1))
+
+
 def test_warmup_period_holds_nothing():
     # signals appear only mid-sample: earlier rebalances stay flat
     days = _days(63)
@@ -270,6 +292,108 @@ def test_rescaling_spreads_leaves_weights_identical():
     b = backtest(prices, scaled_signals, RebalanceSchedule(every=21))
     assert [s.weights for s in a.rebalances] == [s.weights for s in b.rebalances]
     assert a.daily_returns == b.daily_returns
+
+
+# ---------------------------------------------------------------------------
+# backtest against the record-scanning reference
+
+
+@st.composite
+def _panels(draw):
+    """Prices and signals with holes, duplicate price dates, records that
+    share (window_end, window_start), tied nu_hat, names that never get
+    3 price days, names without signals, and signals without prices."""
+    n_days = draw(st.sampled_from([25, 12, 40, 3]))
+    n_names = draw(st.sampled_from([16, 24, 11, 9]))
+    p_hole = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    days = _days(n_days)
+    prices, signals = {}, {}
+    for i in range(n_names):
+        name = f"N{i:02d}"
+        keep = rng.random(n_days) >= p_hole
+        if rng.random() < 0.1:  # never reaches 3 price days
+            keep[:] = False
+            keep[rng.choice(n_days, size=min(2, n_days), replace=False)] = True
+        level = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal(n_days)))
+        series = [(d, float(p)) for d, p, k in zip(days, level, keep) if k]
+        for _ in range(int(rng.integers(0, 3))):  # duplicate price dates
+            if series:
+                d, p = series[int(rng.integers(len(series)))]
+                series.insert(int(rng.integers(len(series) + 1)), (d, p * 1.01))
+        if rng.random() < 0.2:
+            rng.shuffle(series)
+        prices[name] = series
+        if rng.random() < 0.1:  # no signals
+            if rng.random() < 0.5:
+                signals[name] = []
+            continue
+        records = []
+        for _ in range(int(rng.integers(1, 6))):
+            end = days[0] + dt.timedelta(days=int(rng.integers(-3, 1.4 * n_days)))
+            # mostly long windows; some with under 3 price days or start > end
+            span = rng.integers(-1, 3) if rng.random() < 0.15 else rng.integers(4, 22)
+            start = end - dt.timedelta(days=int(span))
+            nu_hat = float(rng.integers(-2, 3)) if tied else float(rng.standard_normal())
+            records.append(_signal(name, end, nu_hat, start=start))
+            if rng.random() < 0.3:  # same (window_end, window_start), another nu_hat
+                records.append(_signal(name, end, nu_hat + 1.0, start=start))
+        signals[name] = records
+    if rng.random() < 0.3:
+        signals["X"] = [_signal("X", days[0], 1.0)]
+    every = draw(st.integers(1, 7))
+    cut = days[draw(st.integers(0, n_days - 1))]
+    return prices, signals, RebalanceSchedule(every=every), cut
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except td.TanhDriftError as exc:
+        return type(exc)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_panels())
+def test_backtest_matches_reference(case):
+    prices, signals, schedule, cut = case
+    by_nu = None
+    for rank_by in ("nu", "mu_tilde"):
+        got = _outcome(backtest, prices, signals, schedule, rank_by)
+        want = _outcome(backtest_reference, prices, signals, schedule, rank_by)
+        if rank_by == "nu":
+            by_nu = want
+        if isinstance(want, type):
+            if want is td.NoOverlap and rank_by == "mu_tilde" and by_nu is not td.NoOverlap:
+                # the reference's false NoOverlap: ranked by nu_hat alone,
+                # the same signals do align with prices
+                want = td.TooFewPriceDays
+            assert got is want
+            continue
+        assert not isinstance(got, type), got
+        assert [(s.date, s.weights) for s in got.rebalances] == [
+            (s.date, s.weights) for s in want.rebalances
+        ]
+        # daily returns, drops, turnover, leg means and the summary statistics
+        assert got.to_dict() == want.to_dict()
+        for snap in got.rebalances:
+            if any(snap.weights.values()):
+                assert snap.net == 0.0
+                assert abs(snap.gross - 1.0) < 1e-12
+        # appending the data after `cut` leaves the weights up to `cut` as they were
+        early = _outcome(
+            backtest,
+            {n: [(d, p) for d, p in series if d <= cut] for n, series in prices.items()},
+            {n: [r for r in recs if r.window_end <= cut] for n, recs in signals.items()},
+            schedule,
+            rank_by,
+        )
+        if not isinstance(early, type):
+            full = {s.date: s.weights for s in got.rebalances}
+            assert early.rebalances
+            for snap in early.rebalances:
+                assert snap.weights == full[snap.date]
 
 
 # ---------------------------------------------------------------------------
