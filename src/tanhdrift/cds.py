@@ -170,16 +170,17 @@ def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> list[SignalRec
     index in starts, all windows at once.
 
     Windows with a log-price sample std below 1e-10 have no slope and
-    get no record. A window of constant spreads, which includes every
-    one-observation window, fits slope 0 with r_squared 1 and stderr 0.
-    Every other window gets what scipy.stats.linregress gives for it,
-    bit for bit: its moments are np.cov(x, y, bias=1), centred rows
-    times their own transpose, scaled by 1/w.
+    get no record; so do one-observation windows, whose sample std is
+    undefined. A window of constant spreads fits slope 0 with r_squared
+    1 and stderr 0. Every other window gets what scipy.stats.linregress
+    gives for it, bit for bit: its moments are np.cov(x, y, bias=1),
+    centred rows times their own transpose, scaled by 1/w.
     """
+    if w < 2:
+        return []
     idx = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(w)
     xy = np.stack([np.log(series.price)[idx], np.log(series.spread)[idx]], axis=1)
-    # A one-observation window has a NaN std and is kept (NaN < 1e-10 is False).
-    keep = ~(np.std(xy[:, 0], axis=1, ddof=1) < 1e-10)
+    keep = np.std(xy[:, 0], axis=1, ddof=1) >= 1e-10
     first, xy = idx[keep, 0], xy[keep]
     mean = xy.mean(axis=2)
     d = xy - mean[:, :, None]
@@ -224,7 +225,9 @@ def extract_nu(
         raise InsufficientData(f"{series.name}: {max(n, 0)} observations in window, need >= {need}")
     records = _fits(series, [lo], n)
     if not records:
-        raise DegeneratePrices(f"{series.name}: log-price sample std < 1e-10, slope undefined")
+        raise DegeneratePrices(
+            f"{series.name}: log-price sample std < 1e-10 or undefined, no slope"
+        )
     return records[0]
 
 
@@ -250,7 +253,7 @@ def rolling_extract(
         reason = f"{window_len} < {min_window} observations"
     else:
         records = _fits(series, starts, window_len)
-        reason = "log-price sample std < 1e-10, slope undefined"
+        reason = "log-price sample std < 1e-10 or undefined, no slope"
     if len(records) < len(starts):
         log.warning("%s: %d of %d windows skipped: %s",
                     series.name, len(starts) - len(records), len(starts), reason)

@@ -289,7 +289,7 @@ def cmd_density(opts: dict) -> int:
         failures.append(f"normalization |{norm!r} - 1| > {opts['tol_norm']}")
 
     if opts["compare_fp"]:
-        margin = 5.0 * params.sigma * math.sqrt(t) + params.mu_tilde * t
+        margin = fp.boundary_margin(params, t)
         dx = opts["fp_dx"] if opts["fp_dx"] is not None else params.sigma * math.sqrt(t) / 100.0
         fdt = opts["fp_dt"] if opts["fp_dt"] is not None else t / 1000.0
         lo = min(x_min, x0 - margin) - 2 * dx
@@ -410,7 +410,7 @@ def cmd_simulate(opts: dict) -> int:
 
 
 def _fp_error(params, x0, horizon, dx, dt_step) -> tuple[float, fp.DensityField]:
-    margin = 5.0 * params.sigma * math.sqrt(horizon) + params.mu_tilde * horizon
+    margin = fp.boundary_margin(params, horizon)
     pad = params.sigma * math.sqrt(horizon)
     lo = x0 - margin - pad
     n_x = int(math.ceil(2.0 * (margin + pad) / dx)) + 1

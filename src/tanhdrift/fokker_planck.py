@@ -80,6 +80,12 @@ class DensityField:
         return float(np.trapezoid(self.values, dx=self.grid.dx))
 
 
+def boundary_margin(params: ModelParams, horizon: float) -> float:
+    """Distance 5 sigma sqrt(T) + mu_tilde T that x0 must keep from each
+    end of a grid solved to time T (see :func:`solve_fp`)."""
+    return 5.0 * params.sigma * math.sqrt(horizon) + params.mu_tilde * horizon
+
+
 def solve_fp(
     params: ModelParams,
     x0: float,
@@ -109,7 +115,7 @@ def solve_fp(
         raise ValidationError(
             f"horizon/dt = {horizon / grid.dt} does not round to an integer step count"
         )
-    margin = 5.0 * params.sigma * math.sqrt(horizon) + params.mu_tilde * horizon
+    margin = boundary_margin(params, horizon)
     if x0 - grid.x_min < margin or grid.x_max - x0 < margin:
         raise ValidationError(
             f"x0={x0} needs margin {margin:.6g} inside [{grid.x_min}, {grid.x_max}]; "

@@ -10,19 +10,27 @@ with m = nu * sigma**2, s2 = sigma**2, and logistic weights
 w_up = 1 / (1 + exp(-2 nu (x0 - x_star))), w_dn = 1 - w_up. This form
 is derived by hand, is evaluated through scipy.stats.norm rather than
 any package code, and makes normalization (w_up + w_dn = 1) and
-half-line integrals (mixture of normal CDFs) exact -- a sharp oracle
-for the quadrature-based implementations.
+half-line integrals (mixture of normal CDFs) exact.
+
+The finite-horizon probability the package computes from this mixture
+is also checked against adaptive quadrature (scipy.integrate.quad) of
+the package's density profile over a truncated half-line
+(_finite_prob_quadrature), and its trapezoid normalization against the
+quadrature over the whole truncated line (_quad_density). The
+quadrature knows nothing of the mixture form.
 """
 
 import datetime as dt
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import expit
 from scipy.stats import norm
 
 from tanhdrift.cds import SignalRecord
 from tanhdrift.errors import DataError, NoOverlap, UniverseTooSmall, ValidationError
+from tanhdrift.model import Direction, ModelParams, density_profile
 from tanhdrift.portfolio import (
     BacktestReport,
     PortfolioSnapshot,
@@ -74,6 +82,51 @@ def mixture_prob_above(nu, sigma, x_star, x0, t, cut) -> float:
 def logistic_switch_prob(nu, x0, x_star) -> float:
     """Asymptotic healthy-to-distressed probability, 1/(1 + e^{2 nu (x0 - x_star)})."""
     return float(expit(-2.0 * nu * (x0 - x_star)))
+
+
+# ---------------------------------------------------------------------------
+# Quadrature of the package density: the finite-horizon probability and the
+# normalization integral that the package computed this way before it used
+# the mixture CDF and the trapezoid rule, kept as their oracle.
+
+
+def _truncation_hull(params: ModelParams, x0: float, t: float) -> tuple[float, float]:
+    # Envelope is a Gaussian drifting at most mu_tilde * t; 10 standard
+    # deviations keeps truncated mass below 1e-20 relative.
+    w = 10.0 * params.sigma * math.sqrt(t) + params.mu_tilde * t
+    lo = min(x0, params.x_star) - w
+    hi = max(x0, params.x_star) + w
+    return lo, hi
+
+
+def _quad_density(params: ModelParams, x0: float, t: float, a: float, b: float) -> float:
+    pts = [
+        p
+        for p in (x0 - params.mu_tilde * t, x0, x0 + params.mu_tilde * t, params.x_star)
+        if a < p < b
+    ]
+    val, _ = quad(
+        lambda x: float(density_profile(params, x, x0, t)),
+        a,
+        b,
+        points=sorted(set(pts)) or None,
+        epsabs=1e-10,
+        epsrel=1e-10,
+        limit=200,
+    )
+    return val
+
+
+def _finite_prob_quadrature(
+    params: ModelParams, x0: float, horizon: float, direction: Direction
+) -> float:
+    """Half-line integral of the density, without the boundary shortcut."""
+    lo, hi = _truncation_hull(params, x0, horizon)
+    if direction is Direction.HEALTHY_TO_DISTRESSED:
+        a, b = lo, params.x_star
+    else:
+        a, b = params.x_star, hi
+    return _quad_density(params, x0, horizon, a, b)
 
 
 def ols_fit(x, y) -> tuple[float, float]:

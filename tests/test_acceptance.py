@@ -15,7 +15,6 @@ from tanhdrift import fokker_planck as fp
 from tanhdrift.cds import extract_nu, load_spread_series, rolling_extract
 from tanhdrift.cli import EXIT_OK, main
 from tanhdrift.mc import SimConfig, mc_transition_prob
-from tanhdrift.model import _finite_prob_quadrature
 from tanhdrift.portfolio import RebalanceSchedule, backtest, signal_quality
 from tanhdrift.universe import (
     UniverseSpec,
@@ -26,6 +25,7 @@ from tanhdrift.universe import (
 )
 
 import test_cds
+from oracles import _finite_prob_quadrature
 
 H2D = td.Direction.HEALTHY_TO_DISTRESSED
 D2H = td.Direction.DISTRESSED_TO_HEALTHY

@@ -299,19 +299,20 @@ def test_rolling_series_shorter_than_window_is_empty():
         rolling_extract(_line_series(20, a_tilde=3.0, nu=0.8), window_len=21, stride=1)
 
 
-def test_rolling_one_observation_windows_fit_flat():
-    # A single point has a NaN sample std, so it is not skipped as
-    # degenerate; its spreads are constant, which fits slope 0 exactly.
+def test_rolling_one_observation_windows_are_skipped(caplog):
+    # A single point has no sample std and so no slope: every window is
+    # skipped as degenerate, with one log record for the name and no
+    # numpy warning.
     series = _line_series(5, a_tilde=3.0, nu=0.8)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        records = rolling_extract(series, window_len=1, stride=2, min_window=1)
-    assert [r.window_start for r in records] == [series.dates[i] for i in (0, 2, 4)]
-    for r, i in zip(records, (0, 2, 4)):
-        assert r.window_end == r.window_start
-        assert r.nu_hat == 0.0 and math.copysign(1.0, r.nu_hat) == -1.0
-        assert r.a_tilde == math.log(series.spread[i])
-        assert (r.r_squared, r.n_obs, r.slope_stderr) == (1.0, 1, 0.0)
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.WARNING, logger="tanhdrift.cds"):
+            with pytest.raises(td.EmptyResult):
+                rolling_extract(series, window_len=1, stride=2, min_window=1)
+        with pytest.raises(td.DegeneratePrices):
+            extract_nu(series, series.dates[2], series.dates[2], min_window=1)
+    assert len(caplog.records) == 1
+    assert "3 of 3 windows skipped" in caplog.records[0].getMessage()
 
 
 def test_rolling_two_observation_windows_are_exact_lines():
@@ -362,18 +363,18 @@ def test_rolling_every_window_matches_per_window_ols(case):
     series = _series(prices, spreads)
     ln_s, ln_z = np.log(prices), np.log(spreads)
     expected = []
-    for i in range(0, len(prices) - window_len + 1, stride):
-        x, y = ln_s[i : i + window_len], ln_z[i : i + window_len]
-        if window_len < min_window or (window_len > 1 and np.std(x, ddof=1) < 1e-10):
-            continue
-        expected.append((i, x, y))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # std of one point
-        if not expected:
-            with pytest.raises(td.EmptyResult):
-                rolling_extract(series, window_len, stride, min_window)
-            return
-        records = rolling_extract(series, window_len, stride, min_window)
+        for i in range(0, len(prices) - window_len + 1, stride):
+            x, y = ln_s[i : i + window_len], ln_z[i : i + window_len]
+            if window_len < min_window or not np.std(x, ddof=1) >= 1e-10:
+                continue
+            expected.append((i, x, y))
+    if not expected:
+        with pytest.raises(td.EmptyResult):
+            rolling_extract(series, window_len, stride, min_window)
+        return
+    records = rolling_extract(series, window_len, stride, min_window)
     assert len(records) == len(expected)
     close = dict(rel=1e-12, abs=1e-12)
     for rec, (i, x, y) in zip(records, expected):

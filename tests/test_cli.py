@@ -31,7 +31,11 @@ def _tree_bytes(root: Path, skip=()) -> dict[str, bytes]:
 
 def test_cli_import_leaves_out_scipy_stats():
     src = str(Path(td.__file__).resolve().parents[1])
-    code = "import sys, tanhdrift.cli; assert 'scipy.stats' not in sys.modules, 'scipy.stats'"
+    code = (
+        "import sys, tanhdrift.cli\n"
+        "for name in ('scipy.stats', 'scipy.integrate'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
@@ -366,7 +370,8 @@ def _strict_json(path: Path):
 
 
 def test_backtest_one_day_windows(tmp_path, capsys):
-    # one-observation windows: every extracted nu_hat is -0.0, so the
+    # One-observation windows have no slope, so extract finds no record;
+    # two-observation windows fit, but against a truth of equal nu the
     # Spearman check is undefined, and no window holds the 3 price days
     # realized variance needs
     uni = tmp_path / "u"
@@ -374,10 +379,18 @@ def test_backtest_one_day_windows(tmp_path, capsys):
                 "--out-dir", uni) == EXIT_OK
     sig = tmp_path / "signals.csv"
     assert _run("extract", "--manifest", uni / "manifest.csv", "--window", 1,
-                "--min-window", 1, "--out", sig) == EXIT_OK
+                "--min-window", 1, "--out", sig) == EXIT_DATA
+    assert "no name produced any signal record" in capsys.readouterr().err
+    assert not sig.exists()
+    assert _run("extract", "--manifest", uni / "manifest.csv", "--window", 2,
+                "--min-window", 2, "--out", sig) == EXIT_OK
+    truth = tmp_path / "truth.csv"
+    names = [row.split(",")[0] for row in (uni / "truth.csv").read_text().splitlines()[1:]]
+    truth.write_text("name,nu,sigma,s_star,s0\n"
+                     + "".join(f"{n},1.0,0.2,100.0,150.0\n" for n in names))
     bt = tmp_path / "bt"
     assert _run("backtest", "--manifest", uni / "manifest.csv", "--signals", sig,
-                "--out-dir", bt, "--truth", uni / "truth.csv") == EXIT_OK
+                "--out-dir", bt, "--truth", truth) == EXIT_OK
     report = _strict_json(bt / "report.json")
     assert report["spearman_true_extracted"] is None
     assert "constant" in report["spearman_undefined_reason"]

@@ -9,9 +9,11 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import tanhdrift as td
-from tanhdrift.model import _finite_prob_quadrature, _truncation_hull
 
 from oracles import (
+    _finite_prob_quadrature,
+    _quad_density,
+    _truncation_hull,
     logistic_switch_prob,
     mixture_density,
     mixture_prob_above,
@@ -200,6 +202,36 @@ def test_normalization_randomized():
         assert abs(td.density_normalization(p, x0, t) - 1.0) < 1e-8
 
 
+def test_normalization_matches_quadrature():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        p = _random_params(rng)
+        x0 = p.x_star + rng.uniform(-5, 5)
+        t = math.exp(rng.uniform(math.log(1e-3), math.log(300.0)))
+        lo, hi = _truncation_hull(p, x0, t)
+        want = _quad_density(p, x0, t, lo, hi)
+        assert abs(td.density_normalization(p, x0, t) - want) <= 1e-12
+
+
+def test_normalization_of_a_narrow_peak_far_from_the_threshold():
+    # Quadrature over [x_star - w, x0 + w] steps over this peak and
+    # integrates to 0.50; the window around x0 resolves it.
+    p = td.ModelParams(1.0, 0.05, 0.0)
+    for t in (1e-4, 1e-6):
+        assert abs(td.density_normalization(p, 5.0, t) - 1.0) < 1e-12
+
+
+def test_normalization_of_two_far_apart_centres():
+    # At nu * sigma * sqrt(t) = 3000 a single window from x0 - mu_tilde t
+    # to x0 + mu_tilde t spaces its nodes 1.5 standard deviations apart
+    # and misses 1 by 2e-4; one window per centre keeps the spacing.
+    for k in (3e3, 5e3):
+        for sigma, t in ((0.2, 1.0), (1.0, 100.0)):
+            p = td.ModelParams(k / (sigma * math.sqrt(t)), sigma, 0.0)
+            for x0 in (0.0, 0.3):
+                assert abs(td.density_normalization(p, x0, t) - 1.0) < 1e-8
+
+
 def test_chapman_kolmogorov():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -308,6 +340,57 @@ def test_finite_prob_matches_mixture_cdf():
         assert dn == pytest.approx(want_dn, abs=1e-9)
 
 
+def test_finite_prob_matches_quadrature_on_horizon_ladder():
+    # The README example (S0 = 150, S_star = 100) at the 400 horizons from
+    # 0.25 to 100 years that the benchmark's default-prob command asks for.
+    p = td.ModelParams.from_threshold_price(1.0, 0.2, 100.0)
+    x0 = math.log(150.0)
+    for i in range(400):
+        t = 0.25 + (100.0 - 0.25) * i / 399
+        got = td.regime_transition_prob_finite(p, x0, t, H2D).value
+        assert got == pytest.approx(_finite_prob_quadrature(p, x0, t, H2D), rel=1e-12, abs=0.0)
+
+
+def _mp_switch_prob(nu, sigma, x_star, x0, t, direction):
+    """The two-Gaussian mixture CDF at 50 digits from the float inputs;
+    each tail is taken as ncdf of a negated argument, never 1 - ncdf."""
+    with mpmath.workdps(50):
+        nu, sigma, x_star, x0, t = map(mpmath.mpf, (nu, sigma, x_star, x0, t))
+        m = nu * sigma * sigma * t
+        s = sigma * mpmath.sqrt(t)
+        w_up = 1 / (1 + mpmath.exp(-2 * nu * (x0 - x_star)))
+        w_dn = 1 / (1 + mpmath.exp(2 * nu * (x0 - x_star)))
+        sign = 1 if direction is H2D else -1
+        return w_up * mpmath.ncdf(sign * (x_star - x0 - m) / s) + w_dn * mpmath.ncdf(
+            sign * (x_star - x0 + m) / s
+        )
+
+
+def test_finite_prob_far_tail():
+    # Starts up to 38 standard deviations from the threshold reach values
+    # down to 1e-300, where quadrature loses its relative accuracy.
+    rng = np.random.default_rng(71)
+    tiny = 0
+    for _ in range(200):
+        p = td.ModelParams(rng.uniform(0.0, 3.0), rng.uniform(0.05, 1.0), rng.uniform(-1.0, 1.0))
+        t = math.exp(rng.uniform(math.log(1e-3), math.log(300.0)))
+        d = p.sigma * math.sqrt(t) * rng.uniform(0.01, 38.0)
+        for direction, x0, mixture in (
+            (H2D, p.x_star + d, mixture_prob_below),
+            (D2H, p.x_star - d, mixture_prob_above),
+        ):
+            want = _mp_switch_prob(p.nu, p.sigma, p.x_star, x0, t, direction)
+            if want < 1e-300:
+                continue
+            tiny += want < 1e-200
+            got = td.regime_transition_prob_finite(p, x0, t, direction).value
+            assert float(abs(got - want) / want) <= 1e-12
+            assert got == pytest.approx(
+                mixture(p.nu, p.sigma, p.x_star, x0, t, p.x_star), rel=1e-12, abs=0.0
+            )
+    assert tiny >= 20
+
+
 def test_finite_prob_validation():
     p = td.ModelParams(1.0, 0.2, 0.0)
     with pytest.raises(td.ValidationError):
@@ -328,7 +411,11 @@ def test_monotone_approach_to_asymptote():
         assert p.sigma * p.nu * math.sqrt(horizon) >= 5.0
         v = td.regime_transition_prob_finite(p, x0, horizon, H2D).value
         gaps.append(abs(v - limit))
-    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    # The true gaps are 3.9e-9, 5.5e-15, 2.8e-26 and 1.9e-48: float64
+    # resolves the first two, and from T = 100 on the exact value rounds
+    # to the limit.
+    assert gaps[0] > gaps[1] > 0.0
+    assert max(gaps[2:]) <= 2 * math.ulp(limit)
 
 
 # ---------------------------------------------------------------------------
