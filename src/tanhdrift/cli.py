@@ -427,6 +427,7 @@ def cmd_fp_check(opts: dict) -> int:
     x0, horizon = opts["x0"], opts["horizon"]
     err, field = _fp_error(params, x0, horizon, opts["dx"], opts["dt"])
     print(f"L_inf relative error (density > 1e-6 of peak): {err:.6e}  (tol {opts['tol']})")
+    print(f"peak mass drift (max over steps of mass - 1): {field.peak_mass - 1.0:.3e}")
     if opts["refine"]:
         err2, _ = _fp_error(params, x0, horizon, opts["dx"] / 2.0, opts["dt"] / 2.0)
         ratio = err / err2 if err2 > 0 else float("inf")

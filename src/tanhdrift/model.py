@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit, log_expit, ndtr
 
 from .errors import ValidationError
 
@@ -202,25 +202,25 @@ def _require_starting_side(x0: float, x_star: float, direction: Direction) -> No
 def density_profile(params: ModelParams, x, x0: float, t: float):
     """Transition density evaluated at an array of terminal log-prices.
 
-    Vectorized form of :func:`transition_density`; the cosh ratio and
-    Gaussian factor are combined in log space before exponentiating.
+    Vectorized form of :func:`transition_density`, evaluated as the
+    equal-variance mixture it equals,
+    w_up N(x; x0 + mu_tilde t, sigma**2 t) + w_dn N(x; x0 - mu_tilde t, sigma**2 t)
+    with w_up, w_dn = expit(+-2 nu (x0 - x_star)), summed in log space
+    (logaddexp of the two log terms). No term grows with nu sigma sqrt(t),
+    so nothing cancels: the cosh-ratio form subtracts terms of size
+    (nu sigma sqrt(t))**2 and loses that many digits.
     """
     _require_diffusive(params)
     if not (t > 0):
         raise ValidationError(f"elapsed time t must be > 0, got {t}")
     x = np.asarray(x, dtype=float)
-    sig2t = params.sigma * params.sigma * t
-    z = params.nu * (x - params.x_star)
-    z0 = params.nu * (x0 - params.x_star)
-    log_p = (
-        _log_cosh(z)
-        - _log_cosh(z0)
-        - (x - x0) ** 2 / (2.0 * sig2t)
-        - params.mu_tilde * params.nu * t / 2.0
-        - 0.5 * math.log(2.0 * math.pi * t)
-        - math.log(params.sigma)
-    )
-    return np.exp(log_p)
+    two_sig2t = 2.0 * params.sigma * params.sigma * t
+    lam = 2.0 * params.nu * (x0 - params.x_star)
+    drift_t = params.mu_tilde * t
+    log_up = log_expit(lam) - (x - x0 - drift_t) ** 2 / two_sig2t
+    log_dn = log_expit(-lam) - (x - x0 + drift_t) ** 2 / two_sig2t
+    log_norm = 0.5 * math.log(2.0 * math.pi * t) + math.log(params.sigma)
+    return np.exp(np.logaddexp(log_up, log_dn) - log_norm)
 
 
 def transition_density(params: ModelParams, q: DensityQuery) -> float:
@@ -262,9 +262,7 @@ def density_normalization(params: ModelParams, x0: float, t: float) -> float:
     whatever nu, sigma and t are, and the rule on this smooth integrand
     with Gaussian tails converges exponentially. The window never
     stretches to x_star, which would thin the nodes under a narrow peak
-    far from it. Past nu sigma sqrt(t) of about 1e4 the log-space terms
-    of :func:`density_profile` reach 1e8 and their rounding, not the
-    rule, moves the integral by about 1e-8.
+    far from it.
     """
     _require_diffusive(params)
     if not (t > 0):

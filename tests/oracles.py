@@ -18,6 +18,10 @@ the package's density profile over a truncated half-line
 (_finite_prob_quadrature), and its trapezoid normalization against the
 quadrature over the whole truncated line (_quad_density). The
 quadrature knows nothing of the mixture form.
+
+solve_fp_reference is the SuperLU Crank-Nicolson loop that
+fokker_planck.solve_fp replaced; the prefactored LAPACK version is
+checked against it.
 """
 
 import datetime as dt
@@ -25,12 +29,21 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import diags
+from scipy.sparse.linalg import splu
 from scipy.special import expit
 from scipy.stats import norm
 
 from tanhdrift.cds import SignalRecord
-from tanhdrift.errors import DataError, NoOverlap, UniverseTooSmall, ValidationError
-from tanhdrift.model import Direction, ModelParams, density_profile
+from tanhdrift.errors import (
+    DataError,
+    NoOverlap,
+    ToleranceError,
+    UniverseTooSmall,
+    ValidationError,
+)
+from tanhdrift.fokker_planck import DensityField, GridSpec, boundary_margin
+from tanhdrift.model import Direction, ModelParams, _log_cosh, density_profile, drift
 from tanhdrift.portfolio import (
     BacktestReport,
     PortfolioSnapshot,
@@ -82,6 +95,25 @@ def mixture_prob_above(nu, sigma, x_star, x0, t, cut) -> float:
 def logistic_switch_prob(nu, x0, x_star) -> float:
     """Asymptotic healthy-to-distressed probability, 1/(1 + e^{2 nu (x0 - x_star)})."""
     return float(expit(-2.0 * nu * (x0 - x_star)))
+
+
+def cosh_ratio_density(params: ModelParams, x, x0: float, t: float):
+    """The cosh-ratio form that density_profile evaluated before it summed
+    the two mixture terms: exact in real arithmetic, but its log terms
+    grow like (nu sigma sqrt(t))**2 and cancel."""
+    x = np.asarray(x, dtype=float)
+    sig2t = params.sigma * params.sigma * t
+    z = params.nu * (x - params.x_star)
+    z0 = params.nu * (x0 - params.x_star)
+    log_p = (
+        _log_cosh(z)
+        - _log_cosh(z0)
+        - (x - x0) ** 2 / (2.0 * sig2t)
+        - params.mu_tilde * params.nu * t / 2.0
+        - 0.5 * math.log(2.0 * math.pi * t)
+        - math.log(params.sigma)
+    )
+    return np.exp(log_p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +347,108 @@ def backtest_reference(
         long_leg_mean_daily=float(np.mean(long_rets)) if long_rets else None,
         short_leg_mean_daily=float(np.mean(short_rets)) if short_rets else None,
     )
+
+
+# Crank-Nicolson reference: the SuperLU loop that solve_fp ran before it
+# factored with LAPACK dgttrf and dropped the right-hand-side build, kept
+# verbatim as the oracle for the prefactored version.
+
+
+def solve_fp_reference(
+    params: ModelParams,
+    x0: float,
+    horizon: float,
+    grid: GridSpec,
+    ic_width: float | None = None,
+) -> DensityField:
+    """Evolve the mollified delta at x0 to time T on the given grid.
+
+    Preconditions: x0 must sit inside the grid with margin
+    5 sigma sqrt(T) + mu_tilde T on both sides (otherwise mass would
+    leak past the zero boundaries beyond 1e-6), T must be an integer
+    number of grid.dt steps, and the cell Peclet number
+    mu_tilde * dx / sigma**2 must not exceed 1 (the centered advection
+    stencil oscillates beyond that).
+
+    After every step negatives (clipped Crank-Nicolson undershoot, at
+    the 1e-12 scale) are clamped to zero and the trapezoidal mass is
+    required to stay <= 1 + 1e-6.
+    """
+    if params.sigma == 0.0:
+        raise ValidationError("sigma = 0 has no density to evolve (degenerate case)")
+    if not (horizon > 0):
+        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    n_whole = round(horizon / grid.dt)
+    if n_whole < 1 or abs(n_whole * grid.dt - horizon) > 1e-9 * horizon:
+        raise ValidationError(
+            f"horizon/dt = {horizon / grid.dt} does not round to an integer step count"
+        )
+    margin = boundary_margin(params, horizon)
+    if x0 - grid.x_min < margin or grid.x_max - x0 < margin:
+        raise ValidationError(
+            f"x0={x0} needs margin {margin:.6g} inside [{grid.x_min}, {grid.x_max}]; "
+            "mass would leak past the boundaries"
+        )
+    dx = grid.dx
+    peclet = params.mu_tilde * dx / (params.sigma * params.sigma)
+    if peclet > 1.0:
+        raise ValidationError(
+            f"cell Peclet number {peclet:.3g} > 1: centered advection needs a finer grid"
+        )
+
+    x = grid.x
+    w = 2.0 * dx if ic_width is None else float(ic_width)
+    if not (w > 0):
+        raise ValidationError(f"ic_width must be > 0, got {w}")
+    t_ic = w * w / (params.sigma * params.sigma)
+    if t_ic > 0.5 * horizon:
+        raise ValidationError(
+            f"initial-condition width {w} diffuses for {t_ic:.3g} of the {horizon:.3g} horizon; "
+            "use a finer grid"
+        )
+    n_steps = round((horizon - t_ic) / grid.dt)
+    if n_steps < 1:
+        raise ValidationError(f"dt={grid.dt} leaves no whole step in the horizon {horizon}")
+    values = np.exp(-((x - x0) ** 2) / (2.0 * w * w))
+    values[0] = 0.0
+    values[-1] = 0.0
+    values /= np.trapezoid(values, dx=dx)
+
+    diff = 0.5 * params.sigma * params.sigma
+    mu_face = np.asarray(drift(params, x[:-1] + 0.5 * dx))  # n_x - 1 faces
+
+    # Interior rows i = 1..n_x-2; flux form
+    # dP_i/dt = [D (P_{i+1} - 2 P_i + P_{i-1}) / dx
+    #            - (mu_{i+1/2} (P_{i+1} + P_i) - mu_{i-1/2} (P_i + P_{i-1})) / 2] / dx
+    lower = diff / dx**2 + mu_face[:-1] / (2.0 * dx)
+    upper = diff / dx**2 - mu_face[1:] / (2.0 * dx)
+    diag = -2.0 * diff / dx**2 - (mu_face[1:] - mu_face[:-1]) / (2.0 * dx)
+
+    half_dt = 0.5 * grid.dt
+    m = grid.n_x - 2
+    a_minus = diags(
+        [-half_dt * lower[1:], 1.0 - half_dt * diag, -half_dt * upper[:-1]],
+        offsets=(-1, 0, 1),
+        shape=(m, m),
+        format="csc",
+    )
+    lu = splu(a_minus)
+    p_low = half_dt * lower
+    p_diag = 1.0 + half_dt * diag
+    p_up = half_dt * upper
+
+    u = values[1:-1].copy()
+    rhs = np.empty(m, dtype=float)
+    for _ in range(n_steps):
+        np.multiply(p_diag, u, out=rhs)
+        rhs[1:] += p_low[1:] * u[:-1]
+        rhs[:-1] += p_up[:-1] * u[1:]
+        u = lu.solve(rhs)
+        np.maximum(u, 0.0, out=u)
+        mass = u.sum() * dx  # full-grid trapezoid; boundary nodes are zero
+        if mass > 1.0 + 1e-6:
+            raise ToleranceError(f"mass grew to {mass} > 1 + 1e-6; scheme unstable here")
+
+    values = np.zeros(grid.n_x, dtype=float)
+    values[1:-1] = u
+    return DensityField(grid=grid, values=values, time=horizon)

@@ -33,7 +33,7 @@ def test_cli_import_leaves_out_scipy_stats():
     src = str(Path(td.__file__).resolve().parents[1])
     code = (
         "import sys, tanhdrift.cli\n"
-        "for name in ('scipy.stats', 'scipy.integrate'):\n"
+        "for name in ('scipy.stats', 'scipy.integrate', 'scipy.sparse'):\n"
         "    assert name not in sys.modules, name\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
@@ -125,7 +125,10 @@ def test_fp_check_passes_at_reference_resolution(capsys):
     code = _run("fp-check", "--nu", 1, "--sigma", 0.2, "--x-star", 0, "--x0", 0.5,
                 "--horizon", 2, "--dx", 0.005, "--dt", 2e-4)
     assert code == EXIT_OK
-    assert "L_inf relative error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "L_inf relative error" in out
+    drift = float(out.split("peak mass drift (max over steps of mass - 1): ")[1].split()[0])
+    assert abs(drift) <= 1e-6
 
 
 def test_fp_check_fails_on_coarse_grid(capsys):

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import tanhdrift as td
 from tanhdrift import fokker_planck as fp
 from tanhdrift.mc import SimConfig, mc_transition_prob
+
+from oracles import solve_fp_reference
 
 H2D = td.Direction.HEALTHY_TO_DISTRESSED
 D2H = td.Direction.DISTRESSED_TO_HEALTHY
@@ -142,3 +146,99 @@ def test_density_csv_dump(tmp_path):
     assert len(lines) == 1 + grid.n_x
     xs = np.array([float(line.split(",")[0]) for line in lines[1:]])
     np.testing.assert_allclose(xs, grid.x, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# prefactored LAPACK solve against the SuperLU reference
+
+
+def _outcome(solve, *args, **kwargs):
+    """The field a solver returns, or the type of the error it raises."""
+    try:
+        return solve(*args, **kwargs)
+    except td.TanhDriftError as exc:
+        return type(exc)
+
+
+def _assert_same_outcome(*args, **kwargs):
+    new = _outcome(fp.solve_fp, *args, **kwargs)
+    ref = _outcome(solve_fp_reference, *args, **kwargs)
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert isinstance(new, fp.DensityField)
+    peak = float(np.max(ref.values))
+    assert float(np.max(np.abs(new.values - ref.values))) <= 1e-10 * peak
+    assert new.time == ref.time
+
+
+@st.composite
+def _fp_cases(draw):
+    nu = draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
+    sigma = draw(st.floats(0.1, 1.0))
+    x_star = 0.1
+    x0 = x_star + draw(st.one_of(st.just(0.0), st.floats(-1.5, 1.5)))  # both sides of x*
+    horizon = draw(st.floats(0.05, 2.0))
+    dt = horizon / draw(st.integers(20, 600))  # a whole step count
+    # Peclet nu * dx <= 1, and the mollified start diffuses for at most T/2.
+    dx_max = sigma * math.sqrt(horizon / 8.0)
+    if nu > 0:
+        dx_max = min(dx_max, 1.0 / nu)
+    dx = dx_max * draw(st.floats(0.05, 0.95))
+    p = td.ModelParams(nu, sigma, x_star)
+    return p, x0, horizon, _auto_grid(p, x0, horizon, dx, dt)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_fp_cases())
+def test_solve_fp_matches_splu_reference(case):
+    p, x0, horizon, grid = case
+    _assert_same_outcome(p, x0, horizon, grid)
+
+
+@pytest.mark.parametrize(
+    "params, x0, horizon, grid, ic_width",
+    [
+        # margin too short
+        (td.ModelParams(1.0, 0.2, 0.0), 0.5, 2.0, fp.GridSpec(0.0, 1.0, 101, 1e-3), None),
+        # cell Peclet number above 1
+        (td.ModelParams(10.0, 0.1, 0.0), 0.0, 1.0, fp.GridSpec(-8.0, 8.0, 65, 1e-3), None),
+        # horizon not a whole number of steps
+        (td.ModelParams(1.0, 0.2, 0.0), 0.0, 1.0, fp.GridSpec(-3.0, 3.0, 601, 0.3), None),
+        # sigma = 0
+        (td.ModelParams(1.0, 0.0, 0.0), 0.0, 1.0, fp.GridSpec(-3.0, 3.0, 601, 1e-2), None),
+        # horizon <= 0
+        (td.ModelParams(1.0, 0.2, 0.0), 0.0, 0.0, fp.GridSpec(-3.0, 3.0, 601, 1e-2), None),
+        # initial width <= 0, and one that diffuses past half the horizon
+        (td.ModelParams(1.0, 0.2, 0.0), 0.0, 1.0, fp.GridSpec(-3.0, 3.0, 601, 1e-2), 0.0),
+        (td.ModelParams(1.0, 0.2, 0.0), 0.0, 1.0, fp.GridSpec(-3.0, 3.0, 601, 1e-2), 0.2),
+    ],
+)
+def test_solve_fp_raises_as_reference(params, x0, horizon, grid, ic_width):
+    with pytest.raises(td.ValidationError):
+        fp.solve_fp(params, x0, horizon, grid, ic_width=ic_width)
+    _assert_same_outcome(params, x0, horizon, grid, ic_width=ic_width)
+
+
+@pytest.mark.parametrize("n_x", [3, 4])
+def test_grid_needs_three_interior_nodes(n_x):
+    with pytest.raises(td.ValidationError):
+        fp.GridSpec(-5.0, 5.0, n_x, 0.01)
+
+
+def test_five_node_grid_solves():
+    p = td.ModelParams(0.0, 1.0, 0.0)
+    grid = fp.GridSpec(-5.0, 5.0, 5, 0.01)
+    field = fp.solve_fp(p, 0.0, 1.0, grid, ic_width=0.1)
+    assert field.values[0] == field.values[-1] == 0.0
+    assert np.all(field.values[1:-1] > 0.0)
+    _assert_same_outcome(p, 0.0, 1.0, grid, ic_width=0.1)
+
+
+def test_peak_mass_bounds_every_step():
+    p = td.ModelParams(1.0, 0.2, 0.0)
+    grid = _auto_grid(p, 0.5, 1.0, 0.01, 1e-3)
+    field = fp.solve_fp(p, 0.5, 1.0, grid)
+    final = float(field.values[1:-1].sum()) * grid.dx  # the last step's mass
+    assert final <= field.peak_mass <= 1.0 + 1e-6
+    assert field.peak_mass == pytest.approx(1.0, abs=1e-6)

@@ -14,6 +14,7 @@ from oracles import (
     _finite_prob_quadrature,
     _quad_density,
     _truncation_hull,
+    cosh_ratio_density,
     logistic_switch_prob,
     mixture_density,
     mixture_prob_above,
@@ -230,6 +231,33 @@ def test_normalization_of_two_far_apart_centres():
             p = td.ModelParams(k / (sigma * math.sqrt(t)), sigma, 0.0)
             for x0 in (0.0, 0.3):
                 assert abs(td.density_normalization(p, x0, t) - 1.0) < 1e-8
+
+
+def test_density_profile_matches_cosh_ratio_form():
+    # Where nu sigma sqrt(t) <= 10 the cosh-ratio form loses at most
+    # about 100 ulp to cancellation, so the two agree to 1e-12.
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        p = _random_params(rng)
+        t = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+        if p.nu * p.sigma * math.sqrt(t) > 10.0:
+            continue
+        x0 = p.x_star + rng.choice([0.0, rng.uniform(-3.0, 3.0)])
+        s, m = p.sigma * math.sqrt(t), p.mu_tilde * t
+        x = np.linspace(x0 - m - 12.0 * s, x0 + m + 12.0 * s, 801)
+        old = cosh_ratio_density(p, x, x0, t)
+        new = td.density_profile(p, x, x0, t)
+        region = old > 1e-6 * float(np.max(old))
+        assert np.max(np.abs(new[region] - old[region]) / old[region]) <= 1e-12
+
+
+def test_normalization_far_past_cancellation():
+    # With the cosh-ratio form, |norm - 1| read 3.9e-9 to 1.4e-6 at these
+    # points, past density's default --tol-norm of 1e-8 for most of them.
+    for k in (1e4, 3e4, 1e5):
+        for sigma, t, x0 in ((1.0, 1.0, 0.3), (0.05, 100.0, 0.3), (0.2, 1e-3, -0.3)):
+            p = td.ModelParams(k / (sigma * math.sqrt(t)), sigma, 0.0)
+            assert abs(td.density_normalization(p, x0, t) - 1.0) <= 1e-12
 
 
 def test_chapman_kolmogorov():
