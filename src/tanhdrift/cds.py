@@ -71,8 +71,8 @@ class SpreadSeries:
 
     dates is a tuple of strictly increasing dt.date; price and spread
     (in bps) are float arrays of the same length, stored as read-only
-    copies. Every price and spread must be > 0, since logs are taken of
-    both.
+    copies. Every price and spread must be finite and > 0, since logs
+    are taken of both.
     """
 
     name: str
@@ -88,11 +88,11 @@ class SpreadSeries:
                 raise ValidationError(
                     f"{self.name}: {len(self.dates)} dates but {label} has shape {values.shape}"
                 )
-            bad = np.flatnonzero(~(values > 0))
+            bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
             if bad.size:
                 i = bad[0]
                 raise NonPositiveValue(
-                    f"{self.name}: {label} must be > 0, got {values[i]} on {self.dates[i]}"
+                    f"{self.name}: {label} must be finite > 0, got {values[i]} on {self.dates[i]}"
                 )
             values.setflags(write=False)
             object.__setattr__(self, label, values)
@@ -121,6 +121,8 @@ class SignalRecord:
     slope_stderr: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.nu_hat) and math.isfinite(self.a_tilde)):
+            raise ValidationError(f"nu_hat, a_tilde must be finite: {self.nu_hat}, {self.a_tilde}")
         if not (0.0 <= self.r_squared <= 1.0 or math.isnan(self.r_squared)):
             raise ValidationError(f"r_squared out of [0, 1]: {self.r_squared}")
 
@@ -287,9 +289,9 @@ def _read_csv(path: Path, header: list[str], parse: Callable[[list[str]], object
 
     Blank lines are skipped and every other row must have the header's
     field count. A file that cannot be opened or decoded, another
-    header, a malformed row, a wrong field count and a ValueError from
-    parse each raise DataError naming the path (and path:lineno for a
-    row).
+    header, a malformed row, a wrong field count and a ValueError or
+    ValidationError from parse each raise DataError naming the path (and
+    path:lineno for a row).
     """
     try:
         fh = open(path, newline="")
@@ -313,7 +315,7 @@ def _read_csv(path: Path, header: list[str], parse: Callable[[list[str]], object
         except UnicodeDecodeError as exc:
             # Text is decoded a block at a time, so no line number fits.
             raise DataError(f"{path}: {exc}") from exc
-        except (ValueError, csv.Error) as exc:
+        except (ValueError, ValidationError, csv.Error) as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return out
 

@@ -2,10 +2,11 @@
 
 Subcommands: density, default-prob, simulate, fp-check, synth-universe,
 extract, backtest. Every option can also come from a JSON config file
-(--config, schema {"command": ..., "options": {...}}); explicit CLI
-flags override it, unknown keys are rejected, and every run that writes
-outputs drops the fully resolved config next to them, so any run is
-reproducible from that file alone.
+(--config, schema {"command": ..., "options": {...}}), whose values are
+parsed as the flags they stand for; explicit CLI flags override it,
+unknown keys are rejected, and every run that writes outputs drops the
+fully resolved config next to them, so any run is reproducible from
+that file alone.
 
 Exit codes: 0 success; 2 invalid parameters or preconditions (also used
 by argparse itself); 3 bad, missing, or insufficient data; 4 an oracle
@@ -36,35 +37,34 @@ EXIT_TOLERANCE = 4
 
 log = logging.getLogger(__name__)
 
-_UNSET = object()
 
-
-def _pair(text: str) -> tuple[float, float]:
-    parts = [p for p in str(text).split(",") if p != ""]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'lo,hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(p) for p in str(text).split(",") if p != ""]
+        return [float(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _date(text: str) -> dt.date:
-    return dt.date.fromisoformat(str(text))
+def _pair(text: str) -> tuple[float, float]:
+    values = _floats(text)
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected 'lo,hi', got {text!r}")
+    return values[0], values[1]
 
 
 @dataclass(frozen=True)
 class Opt:
+    """One command-line option; an Opt of type bool is a store_true flag."""
+
     name: str
     type: object = float
     default: object = None
     help: str = ""
     required: bool = False
-    flag: bool = False
 
 
 _MODEL_OPTS = [
@@ -81,8 +81,8 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("x_min", float, help="table range lower edge (default: auto)"),
         Opt("x_max", float, help="table range upper edge (default: auto)"),
         Opt("n_points", int, 101, "number of table bins"),
-        Opt("compare_fp", flag=True, type=bool, help="add a finite-difference PDE column"),
-        Opt("compare_mc", flag=True, type=bool, help="add a Monte Carlo histogram column"),
+        Opt("compare_fp", bool, False, "add a finite-difference PDE column"),
+        Opt("compare_mc", bool, False, "add a Monte Carlo histogram column"),
         Opt("fp_dx", float, help="PDE grid spacing (default: sigma sqrt(t)/100)"),
         Opt("fp_dt", float, help="PDE time step (default: t/1000)"),
         Opt("mc_paths", int, 100_000, "Monte Carlo paths"),
@@ -115,7 +115,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("horizon", float, help="total time in years", required=True),
         Opt("dx", float, help="grid spacing", required=True),
         Opt("dt", float, help="time step", required=True),
-        Opt("refine", flag=True, type=bool, help="also run a halved grid and report the ratio"),
+        Opt("refine", bool, False, "also run a halved grid and report the ratio"),
         Opt("tol", float, 1e-2, "max relative error on the >1e-6-of-peak region"),
         Opt("out_dir", str, help="write density.csv and the resolved config here"),
     ],
@@ -124,7 +124,8 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("days", int, 504, "trading days to simulate"),
         Opt("seed", int, help="master seed", required=True),
         Opt("out_dir", str, help="output directory", required=True),
-        Opt("start_date", _date, dt.date(2020, 1, 1), "first calendar date"),
+        Opt("start_date", dt.date.fromisoformat, dt.date(2020, 1, 1),
+            "first calendar date"),
         Opt("nu_range", _pair, (0.3, 3.0), "per-name nu draw range 'lo,hi'"),
         Opt("sigma_range", _pair, (0.2, 0.4), "per-name sigma draw range"),
         Opt("s_star_range", _pair, (20.0, 80.0), "threshold price draw range"),
@@ -145,7 +146,8 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("signals", str, help="signals CSV from `extract`", required=True),
         Opt("out_dir", str, help="output directory", required=True),
         Opt("every", int, 21, "rebalance every N trading days"),
-        Opt("start", _date, help="first rebalance date (default: first trading day)"),
+        Opt("start", dt.date.fromisoformat,
+            help="first rebalance date (default: first trading day)"),
         Opt("rank_by", str, "nu", "ranking key: 'nu' or 'mu_tilde'"),
         Opt("truth", str, help="truth.csv for a Spearman quality check"),
     ],
@@ -162,84 +164,74 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"{command} command")
         p.add_argument("--config", default=None, help="JSON config file with defaults for this command")
         for o in opts:
-            flag = "--" + o.name.replace("_", "-")
-            if o.flag:
-                p.add_argument(flag, dest=o.name, action="store_const", const=True,
-                               default=_UNSET, help=o.help)
+            if o.type is bool:
+                p.add_argument(_flag(o.name), action="store_true", help=o.help)
             else:
-                p.add_argument(flag, dest=o.name, type=o.type, default=_UNSET, help=o.help)
+                p.add_argument(_flag(o.name), type=o.type, default=o.default, help=o.help)
     return parser
 
 
-def _coerce(opt: Opt, value):
-    if value is None:
-        return None
-    if opt.flag:
-        return bool(value)
-    if opt.type is _pair and isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    if opt.type is _floats and isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    if isinstance(value, str) and opt.type is not str:
-        return opt.type(value)
-    if opt.type is float and isinstance(value, (int, float)):
-        return float(value)
-    if opt.type is int and isinstance(value, (int, float)):
-        return int(value)
-    return value
+# The JSON types a config value may take, by option type; null also goes
+# to an option whose default is null.
+_JSON_TYPES = {bool: (bool, type(None)), int: (int, str), float: (int, float, str),
+               _pair: (list, str), _floats: (list, str)}
 
 
-def _resolve_options(command: str, args: argparse.Namespace) -> dict:
-    opts = COMMANDS[command]
-    by_name = {o.name: o for o in opts}
-    from_config: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot open config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict) or "options" not in raw:
-            raise ValidationError(f"config {args.config} must be an object with an 'options' key")
-        if raw.get("command") not in (None, command):
+def _config_argv(command: str, path: str) -> list[str]:
+    """The --name=value tokens that the config file at path stands for.
+
+    Flags take true, false or null; lists go only to the list options,
+    numbers only to numeric ones, and null (the default) only to flags
+    and to options whose default is null.
+    """
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot open config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or "options" not in raw:
+        raise ValidationError(f"config {path} must be an object with an 'options' key")
+    if raw.get("command") not in (None, command):
+        raise ValidationError(f"config is for command {raw.get('command')!r}, not {command!r}")
+    if not isinstance(raw["options"], dict):
+        raise ValidationError("config 'options' must be an object")
+    by_name = {o.name: o for o in COMMANDS[command]}
+    unknown = sorted(set(raw["options"]) - set(by_name))
+    if unknown:
+        raise ValidationError(f"unknown config keys for {command}: {', '.join(unknown)}")
+    tokens = []
+    for key, value in raw["options"].items():
+        o, flag = by_name[key], _flag(key)
+        allowed = _JSON_TYPES.get(o.type, (str,)) + ((type(None),) if o.default is None else ())
+        if type(value) not in allowed:
+            names = "/".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ValidationError(
-                f"config is for command {raw.get('command')!r}, not {command!r}"
+                f"config value for {flag} must be {names}, got {json.dumps(value)}"
             )
-        if not isinstance(raw["options"], dict):
-            raise ValidationError("config 'options' must be an object")
-        unknown = sorted(set(raw["options"]) - set(by_name))
-        if unknown:
-            raise ValidationError(f"unknown config keys for {command}: {', '.join(unknown)}")
-        from_config = raw["options"]
+        if value is not None and value is not False:
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            tokens.append(flag if value is True else f"{flag}={text}")
+    return tokens
+
+
+def _resolve_options(args: argparse.Namespace) -> dict:
     resolved = {}
-    for o in opts:
-        cli_value = getattr(args, o.name)
-        if cli_value is not _UNSET and cli_value is not None:
-            resolved[o.name] = cli_value
-        elif o.name in from_config:
-            resolved[o.name] = _coerce(o, from_config[o.name])
-        else:
-            resolved[o.name] = False if o.flag else o.default
-        flag = "--" + o.name.replace("_", "-")
-        if o.required and resolved[o.name] is None:
-            raise ValidationError(f"{command}: missing required option {flag}")
-        value = resolved[o.name]
+    for o in COMMANDS[args.command]:
+        value = resolved[o.name] = getattr(args, o.name)
+        if o.required and value is None:
+            raise ValidationError(f"{args.command}: missing required option {_flag(o.name)}")
         values = value if isinstance(value, (list, tuple)) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ValidationError(f"{command}: {flag} must be finite, got {value!r}")
+            raise ValidationError(f"{args.command}: {_flag(o.name)} must be finite, got {value!r}")
     return resolved
 
 
 def _jsonable(value):
     if isinstance(value, dt.date):
         return value.isoformat()
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, Path):
-        return str(value)
-    return value
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _write_resolved_config(command: str, opts: dict, directory: Path) -> None:
@@ -281,11 +273,13 @@ def cmd_density(opts: dict) -> int:
     centers = 0.5 * (edges[:-1] + edges[1:])
     closed = np.asarray(model.density_profile(params, centers, x0, t))
     peak = float(np.max(closed))
+    if (opts["compare_fp"] or opts["compare_mc"]) and not (peak > 0):
+        raise ValidationError(f"closed-form density is 0 on [{x_min}, {x_max}]: no peak to compare")
     columns: dict[str, np.ndarray] = {"closed_form": closed}
     failures: list[str] = []
 
     norm = model.density_normalization(params, x0, t)
-    if abs(norm - 1.0) > opts["tol_norm"]:
+    if not (abs(norm - 1.0) <= opts["tol_norm"]):
         failures.append(f"normalization |{norm!r} - 1| > {opts['tol_norm']}")
 
     if opts["compare_fp"]:
@@ -300,7 +294,7 @@ def cmd_density(opts: dict) -> int:
         fp_col = np.interp(centers, grid.x, field.values)
         columns["fokker_planck"] = fp_col
         disc = float(np.max(np.abs(fp_col - closed))) / peak
-        if disc > opts["tol_fp"]:
+        if not (disc <= opts["tol_fp"]):
             failures.append(f"pde discrepancy {disc:.3e} > {opts['tol_fp']}")
         print(f"# fokker-planck max |diff|/peak = {disc:.3e}")
 
@@ -312,7 +306,7 @@ def cmd_density(opts: dict) -> int:
         mc_col, _ = np.histogram(terminal, bins=edges, density=True)
         columns["monte_carlo"] = mc_col
         disc = float(np.max(np.abs(mc_col - closed))) / peak
-        if disc > opts["tol_mc"]:
+        if not (disc <= opts["tol_mc"]):
             failures.append(f"monte-carlo discrepancy {disc:.3e} > {opts['tol_mc']}")
         print(f"# monte-carlo max |diff|/peak = {disc:.3e}")
 
@@ -437,7 +431,7 @@ def cmd_fp_check(opts: dict) -> int:
         out.mkdir(parents=True, exist_ok=True)
         fp.write_density_csv(field, out / "density.csv")
         _write_resolved_config("fp-check", opts, out)
-    if err > opts["tol"]:
+    if not (err <= opts["tol"]):
         raise ToleranceError(f"PDE/closed-form mismatch {err:.3e} > {opts['tol']}")
     return EXIT_OK
 
@@ -575,10 +569,14 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s")
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _resolve_options(args.command, args)
+        if args.config is not None:
+            # config tokens go ahead of the explicit flags, which win
+            args = parser.parse_args(argv[:1] + _config_argv(args.command, args.config) + argv[1:])
+        opts = _resolve_options(args)
         return _DISPATCH[args.command](opts)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

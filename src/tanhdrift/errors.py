@@ -31,7 +31,7 @@ class DegeneratePrices(DataError):
 
 
 class NonPositiveValue(DataError):
-    """A price or spread was <= 0 (logs are taken of both)."""
+    """A price or spread was not finite or <= 0 (logs are taken of both)."""
 
 
 class EmptyResult(DataError):

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ToleranceError, ValidationError
-from .model import Direction, ModelParams, drift
+from .model import Direction, ModelParams, _require_diffusive, _whole_steps, drift
 
 __all__ = [
     "GridSpec",
@@ -109,23 +109,18 @@ def solve_fp(
     Preconditions: x0 must sit inside the grid with margin
     5 sigma sqrt(T) + mu_tilde T on both sides (otherwise mass would
     leak past the zero boundaries beyond 1e-6), T must be an integer
-    number of grid.dt steps, and the cell Peclet number
+    number of grid.dt steps, the cell Peclet number
     mu_tilde * dx / sigma**2 must not exceed 1 (the centered advection
-    stencil oscillates beyond that).
+    stencil oscillates beyond that), and the mesh ratio
+    sigma**2 dt / (2 dx**2) must not exceed 20 (past about 22 the clamp
+    of barely damped grid-scale modes of the narrow start adds mass).
 
     After every step negatives (clipped Crank-Nicolson undershoot, at
     the 1e-12 scale) are clamped to zero and the trapezoidal mass is
     required to stay <= 1 + 1e-6.
     """
-    if params.sigma == 0.0:
-        raise ValidationError("sigma = 0 has no density to evolve (degenerate case)")
-    if not (horizon > 0):
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
-    n_whole = round(horizon / grid.dt)
-    if n_whole < 1 or abs(n_whole * grid.dt - horizon) > 1e-9 * horizon:
-        raise ValidationError(
-            f"horizon/dt = {horizon / grid.dt} does not round to an integer step count"
-        )
+    _require_diffusive(params)
+    _whole_steps(horizon, grid.dt)
     margin = boundary_margin(params, horizon)
     if x0 - grid.x_min < margin or grid.x_max - x0 < margin:
         raise ValidationError(
@@ -137,6 +132,12 @@ def solve_fp(
     if peclet > 1.0:
         raise ValidationError(
             f"cell Peclet number {peclet:.3g} > 1: centered advection needs a finer grid"
+        )
+    ratio = params.sigma * params.sigma * grid.dt / (2.0 * dx * dx)
+    if ratio > 20.0:
+        raise ValidationError(
+            f"mesh ratio sigma**2 dt / (2 dx**2) = {ratio:.3g} > 20: the clamp of undamped "
+            "grid-scale modes would add mass; use a smaller dt"
         )
 
     x = grid.x

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import Direction, ModelParams, _require_starting_side
+from .model import Direction, ModelParams, _require_starting_side, _whole_steps
 
 __all__ = [
     "SimConfig",
@@ -63,21 +63,15 @@ class SimConfig:
             raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
         if not (self.dt > 0):
             raise ValidationError(f"dt must be > 0, got {self.dt}")
-        if not (self.horizon > 0):
-            raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+        _whole_steps(self.horizon, self.dt)
         if not (self.dt < self.horizon):
             raise ValidationError(f"dt={self.dt} must be smaller than horizon={self.horizon}")
-        n = round(self.horizon / self.dt)
-        if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * self.horizon:
-            raise ValidationError(
-                f"horizon/dt = {self.horizon / self.dt} does not round to an integer step count"
-            )
         if isinstance(self.x0, tuple) and len(self.x0) != self.n_paths:
             raise ValidationError(f"{len(self.x0)} starts x0 for {self.n_paths} paths")
 
     @property
     def n_steps(self) -> int:
-        return round(self.horizon / self.dt)
+        return _whole_steps(self.horizon, self.dt)
 
 
 @dataclass

@@ -186,6 +186,17 @@ def _require_diffusive(params: ModelParams) -> None:
         raise ValidationError("sigma = 0 has no transition density (degenerate case)")
 
 
+def _whole_steps(horizon: float, dt: float) -> int:
+    """horizon / dt as a step count, for dt > 0; ValidationError unless
+    horizon > 0 and the count is a whole one."""
+    if not (horizon > 0):
+        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    n = round(horizon / dt)
+    if n < 1 or abs(n * dt - horizon) > 1e-9 * horizon:
+        raise ValidationError(f"horizon/dt = {horizon / dt} is not a whole step count")
+    return n
+
+
 def _require_starting_side(x0: float, x_star: float, direction: Direction) -> None:
     """x0 must lie on the side of x_star that direction starts from;
     x0 = x_star is on both sides."""

@@ -85,23 +85,16 @@ class PortfolioSnapshot:
 @dataclass(frozen=True)
 class RebalanceSchedule:
     """Rebalance every `every` trading days from `start` (or the first
-    trading day), or on an explicit list of dates."""
+    trading day)."""
 
     every: int = 21
     start: dt.date | None = None
-    dates: tuple[dt.date, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dates is None and self.every < 1:
+        if self.every < 1:
             raise ValidationError(f"every must be >= 1, got {self.every}")
 
     def resolve(self, trading_days: list[dt.date]) -> list[dt.date]:
-        if self.dates is not None:
-            days = set(trading_days)
-            for d in self.dates:
-                if d not in days:
-                    raise ValidationError(f"rebalance date {d} is not a trading day in the data")
-            return sorted(self.dates)
         anchor = self.start if self.start is not None else trading_days[0]
         if anchor > trading_days[-1]:
             raise ValidationError(f"schedule start {anchor} is after the last trading day")
@@ -251,8 +244,6 @@ def backtest(
     trading_days = [dt.date.fromordinal(int(d)) for d in day_ords]
     schedule = schedule or RebalanceSchedule()
     rebalance_dates = schedule.resolve(trading_days)
-    if not rebalance_dates:
-        raise ValidationError("schedule yields no rebalance dates within the data range")
     reb_ords = np.array([d.toordinal() for d in rebalance_dates], dtype=np.int64)
     reb_rows = np.searchsorted(day_ords, reb_ords)
 

@@ -56,6 +56,8 @@ def test_series_rejects_nonpositive_naming_first_bad_date():
         SpreadSeries("X", d, [10.0] * 4, [5.0, 5.0, 0.0, 5.0])
     with pytest.raises(td.NonPositiveValue, match=f"price .* nan on {d[3]}"):
         SpreadSeries("X", d, [10.0, 10.0, 10.0, math.nan], [5.0] * 4)
+    with pytest.raises(td.NonPositiveValue, match=f"spread must be finite > 0, got inf on {d[1]}"):
+        SpreadSeries("X", d, [10.0] * 4, [5.0, math.inf, 5.0, 5.0])
 
 
 def test_series_requires_increasing_dates():
@@ -518,6 +520,18 @@ def test_loader_rejects_bad_value(tmp_path, kind):
     path.write_text(f"{header}\n{good}\n{bad}\n")
     with pytest.raises(td.DataError, match=r"f\.csv:3: "):
         load(path)
+
+
+@pytest.mark.parametrize("values",
+                         ["nan,7.5,0.99", "1.25,inf,0.99", "1.25,7.5,1.5", "1.25,7.5,-0.1"])
+def test_signals_loader_rejects_non_finite_fit_or_r_squared(tmp_path, values):
+    # nu_hat and a_tilde must be finite and r_squared in [0, 1]: a data
+    # error of the file, at its line
+    path = tmp_path / "f.csv"
+    path.write_text(f"{_LOADERS['signals'][1]}\n{_LOADERS['signals'][2]}\n"
+                    f"A,2021-02-02,2021-03-01,{values},21\n")
+    with pytest.raises(td.DataError, match=r"f\.csv:3: (nu_hat, a_tilde must be finite|r_squared)"):
+        load_signals_csv(path)
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tanhdrift as td
-from tanhdrift.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from tanhdrift.cli import COMMANDS, EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from tanhdrift.cds import load_signals_csv, load_spread_series, rolling_extract
 from tanhdrift.mc import SimConfig, simulate
 from tanhdrift.universe import UniverseSpec, generate_universe, load_manifest, load_truth
@@ -72,6 +73,21 @@ def test_density_writes_csv_and_config(tmp_path):
     assert cfg["options"]["n_points"] == 11
 
 
+@pytest.mark.parametrize("extra, expected", [
+    # the closed form underflows to 0 on the table: no peak to scale by
+    (["--x-min", 10, "--x-max", 11, "--compare-mc"], EXIT_VALIDATION),
+    (["--x-min", 10, "--x-max", 11, "--compare-fp"], EXIT_VALIDATION),
+    # no Monte Carlo path lands in the table: a NaN discrepancy fails
+    (["--x-min", 3, "--x-max", 4, "--compare-mc", "--mc-paths", 1000], EXIT_TOLERANCE),
+], ids=["zero-peak-mc", "zero-peak-fp", "no-path-in-table"])
+def test_density_comparison_off_the_mass(capsys, extra, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = _run("density", "--nu", 1, "--sigma", 0.2, "--x0", 0, "--t", 1, *extra)
+    assert code == expected
+    assert ("no peak" if expected == EXIT_VALIDATION else "nan > 0.1") in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # default-prob
 
@@ -129,6 +145,14 @@ def test_fp_check_passes_at_reference_resolution(capsys):
     assert "L_inf relative error" in out
     drift = float(out.split("peak mass drift (max over steps of mass - 1): ")[1].split()[0])
     assert abs(drift) <= 1e-6
+
+
+def test_fp_check_rejects_a_large_mesh_ratio(capsys):
+    # sigma^2 dt / (2 dx^2) = 78: the solve would end in ToleranceError
+    code = _run("fp-check", "--nu", 0, "--sigma", 0.1, "--x0", 0, "--horizon", 0.05,
+                "--dx", 0.0004, "--dt", 0.0025)
+    assert code == EXIT_VALIDATION
+    assert "mesh ratio" in capsys.readouterr().err
 
 
 def test_fp_check_fails_on_coarse_grid(capsys):
@@ -305,13 +329,19 @@ def test_extract_isolates_corrupt_names(tmp_path, capsys):
     assert _run("synth-universe", "--n-names", 4, "--days", 42, "--seed", 3,
                 "--out-dir", out) == EXIT_OK
     (out / "spreads" / "N002.csv").write_text("date,price,spread_bps\n2020-01-01,oops,1\n")
+    # one infinite spread fails its name too, instead of a row of NaN
+    n000 = out / "spreads" / "N000.csv"
+    lines = n000.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",inf"
+    n000.write_text("\n".join(lines) + "\n")
     sig = tmp_path / "signals.csv"
     code = _run("extract", "--manifest", out / "manifest.csv", "--out", sig)
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert "N002" in captured.err
+    assert "N000: spread must be finite > 0, got inf" in captured.err
     names = set(load_signals_csv(sig))
-    assert names == {"N000", "N001", "N003"}
+    assert names == {"N001", "N003"}
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +386,19 @@ def test_backtest_rank_by_mu_tilde_flag(tmp_path):
     code2 = _run("backtest", "--manifest", uni / "manifest.csv", "--signals", sig,
                  "--out-dir", tmp_path / "bt2", "--rank-by", "volatility")
     assert code2 == EXIT_VALIDATION
+
+
+def test_backtest_non_finite_signal_is_a_data_error(tmp_path, capsys):
+    uni, sig = _small_pipeline(tmp_path)
+    lines = sig.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[3] = "nan"
+    lines[2] = ",".join(fields)
+    sig.write_text("\n".join(lines) + "\n")
+    code = _run("backtest", "--manifest", uni / "manifest.csv", "--signals", sig,
+                "--out-dir", tmp_path / "bt")
+    assert code == EXIT_DATA
+    assert "signals.csv:3: nu_hat, a_tilde must be finite" in capsys.readouterr().err
 
 
 def test_backtest_nine_names_exit_code(tmp_path):
@@ -445,18 +488,102 @@ def test_backtest_spread_rescaling_leaves_weights_identical(tmp_path):
 # config files
 
 
-def test_resolved_config_reproduces_run(tmp_path):
-    uni = tmp_path / "u"
-    assert _run("synth-universe", "--n-names", 5, "--days", 42, "--seed", 77,
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pipeline")
+    uni, sig = root / "u", root / "s" / "signals.csv"
+    assert _run("synth-universe", "--n-names", 12, "--days", 63, "--seed", 33,
                 "--out-dir", uni) == EXIT_OK
-    # rerun purely from the emitted config, into a fresh directory
-    uni2 = tmp_path / "u2"
-    code = _run("synth-universe", "--config", uni / "synth_universe_config.json",
-                "--out-dir", uni2)
+    assert _run("extract", "--manifest", uni / "manifest.csv", "--out", sig) == EXIT_OK
+    return uni, sig
+
+
+def _reproducible_runs(uni, sig):
+    """Per command: its arguments, with flags, lists and dates among them."""
+    return {
+        "density": ["--nu", 1, "--sigma", 0.3, "--x0", 0.2, "--t", 0.5, "--n-points", 21,
+                    "--compare-fp", "--compare-mc", "--mc-paths", 2000, "--tol-mc", 1.0],
+        "default-prob": ["--nu", 1, "--sigma", 0.2, "--s-star", 100, "--s0", 150,
+                         "--horizons", "1,5"],
+        "simulate": ["--nu", 1, "--sigma", 0.3, "--x0", 0.2, "--n-paths", 20, "--dt", 0.05,
+                     "--horizon", 0.5, "--seed", 3],
+        "fp-check": ["--nu", 1, "--sigma", 0.2, "--x-star", 0, "--x0", 0.5, "--horizon", 0.5,
+                     "--dx", 0.01, "--dt", 1e-3, "--refine", "--tol", 1.0],
+        "synth-universe": ["--n-names", 5, "--days", 42, "--seed", 77, "--nu-range", "0.5,1.5",
+                           "--start-date", "2021-03-01", "--noise-sigma", 0.05],
+        "extract": ["--manifest", uni / "manifest.csv", "--window", 15, "--stride", 7],
+        "backtest": ["--manifest", uni / "manifest.csv", "--signals", sig, "--every", 5,
+                     "--start", "2020-01-03", "--rank-by", "mu-tilde",
+                     "--truth", uni / "truth.csv"],
+    }
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_resolved_config_reproduces_run(tmp_path, pipeline, command):
+    # rerun purely from the emitted config, into a fresh directory: same
+    # outputs, and the same resolved config save for the output path
+    args = _reproducible_runs(*pipeline)[command]
+    out_key = "out" if command == "extract" else "out_dir"
+    target = {"out": "signals.csv", "out_dir": "run"}[out_key]
+    a, b = tmp_path / "a", tmp_path / "b"
+    config_name = command.replace("-", "_") + "_config.json"
+    assert _run(command, *args, "--" + out_key.replace("_", "-"), a / target) == EXIT_OK
+    config_dir = a if out_key == "out" else a / target
+    code = _run(command, "--config", config_dir / config_name,
+                "--" + out_key.replace("_", "-"), b / target)
     assert code == EXIT_OK
-    ta = _tree_bytes(uni, skip=("synth_universe_config.json",))
-    tb = _tree_bytes(uni2, skip=("synth_universe_config.json",))
-    assert ta == tb
+    assert _tree_bytes(a, skip=(config_name,)) == _tree_bytes(b, skip=(config_name,))
+    cfg_a = json.loads((config_dir / config_name).read_text())
+    cfg_b = json.loads(((b if out_key == "out" else b / target) / config_name).read_text())
+    assert cfg_b["options"] == {**cfg_a["options"], out_key: str(b / target)}
+
+
+def _exit_code(*args) -> int:
+    """main's exit code, also when argparse exits (a usage error)."""
+    try:
+        return _run(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
+_MALFORMED = [
+    ("synth-universe", {"n_names": "abc"}),
+    ("synth-universe", {"n_names": 3.7}),
+    ("synth-universe", {"n_names": [3]}),
+    ("synth-universe", {"nu_range": ["a", "b"]}),
+    ("synth-universe", {"nu_range": [1, 2, 3]}),
+    ("synth-universe", {"start_date": 20200101}),
+    ("density", {"n_points": None}),
+    ("density", {"compare_fp": "no"}),
+]
+
+
+@pytest.mark.parametrize("command, bad", _MALFORMED, ids=[json.dumps(b) for _, b in _MALFORMED])
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, bad):
+    # each value is parsed as the flag it stands for: a value the flag does
+    # not take is a usage error that names the flag, never a traceback
+    out = tmp_path / "out"
+    good = {
+        "synth-universe": {"n_names": 3, "seed": 1, "out_dir": str(out)},
+        "density": {"nu": 1.0, "sigma": 0.2, "x0": 0.0, "t": 1.0, "out_dir": str(out)},
+    }[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "options": {**good, **bad}}))
+    assert _exit_code(command, "--config", cfg) == EXIT_VALIDATION
+    (key,) = bad
+    assert "--" + key.replace("_", "-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_null_flag_and_optional_value_mean_the_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "density", "options": {
+        "nu": 1.0, "sigma": 0.2, "x0": 0.0, "t": 1.0, "n_points": 5,
+        "compare_fp": None, "compare_mc": False, "x_min": None, "out_dir": None,
+    }}))
+    assert _run("density", "--config", cfg) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "closed_form" in out and "fokker_planck" not in out and "monte_carlo" not in out
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -443,9 +443,5 @@ def test_schedule_resolution():
     days = _days(50)
     sched = RebalanceSchedule(every=21)
     assert sched.resolve(days) == [days[0], days[21], days[42]]
-    pinned = RebalanceSchedule(dates=(days[3], days[7]))
-    assert pinned.resolve(days) == [days[3], days[7]]
-    with pytest.raises(td.ValidationError):
-        RebalanceSchedule(dates=(days[0] + dt.timedelta(days=500),)).resolve(days)
     with pytest.raises(td.ValidationError):
         RebalanceSchedule(every=0).resolve(days)
