@@ -17,20 +17,26 @@ without knowing b, and the intercept is unstable out-of-sample) --
 A name's observations are held as arrays (:class:`SpreadSeries`), and
 all windows of a name are fitted in one batched pass whose numbers are
 those of scipy.stats.linregress per window. Every CSV file of the
-package is read through one reader, :func:`_read_csv`: exact header,
-blank lines skipped, one field per header column on every other row.
+package is read through one columnar reader, :func:`_read_csv`: exact
+header, blank lines skipped, one field per header column on every other
+row. It reads the body with a single numpy.loadtxt call, so floats are
+parsed in C and no parse call runs per row in Python; only when a file
+is rejected is it read again row by row, to name the line at fault.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import csv
 import datetime as dt
+import itertools
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from .errors import (
     EmptyResult,
     InsufficientData,
     NonPositiveValue,
+    TanhDriftError,
     ValidationError,
 )
 from .model import Direction, ModelParams, default_prob_asymptotic
@@ -284,51 +291,135 @@ _SPREAD_HEADER = ["date", "price", "spread_bps"]
 _SIGNAL_HEADER = ["name", "window_start", "window_end", "nu_hat", "a_tilde", "r_squared", "n_obs"]
 
 
-def _read_csv(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> list:
-    """parse(row) for each data row of a CSV whose header is exactly header.
+def _c_float(text: str) -> float:
+    """float(text) as numpy's C parser reads it: ASCII only, no
+    underscores, surrounding whitespace allowed."""
+    core = text.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
-    Blank lines are skipped and every other row must have the header's
-    field count. A file that cannot be opened or decoded, another
-    header, a malformed row, a wrong field count and a ValueError or
-    ValidationError from parse each raise DataError naming the path (and
-    path:lineno for a row).
+
+# How a field of each column type is read: float columns by numpy's C
+# tokenizer (and _c_float when an error is located), the rest in bulk.
+_PARSE = {float: _c_float, int: int, str: str, dt.date: dt.date.fromisoformat}
+
+
+def _read_csv(
+    path: Path,
+    header: list[str],
+    dtypes: Sequence[type],
+    build: Callable[..., object] | None = None,
+):
+    """The columns of a CSV whose header is exactly header, or
+    build(*columns) if build is given.
+
+    dtypes gives each column's type: float, int, str or dt.date (ISO).
+    The body is read by one numpy.loadtxt call, which parses the float
+    columns in C into float64 arrays; every other column is a list,
+    converted in bulk. build makes the loader's result from the columns
+    and raises at the first row it rejects. Blank lines are skipped and
+    every other row must have the header's field count. A file that
+    cannot be opened or decoded, another header, a malformed row, a
+    wrong field count, a field its type rejects and a row build rejects
+    each raise DataError naming the path (and path:lineno for a row, see
+    _raise_first_error).
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    out = []
     with fh:
+        try:
+            got = next(csv.reader(fh), None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            _raise_first_error(path, header, dtypes, build, exc)
+        if got != header:
+            raise DataError(f"{path}: expected header {','.join(header)}, got {got}")
+        try:
+            _check_field_limit(path)
+            # loadtxt warns when it reads no row, so it starts at the
+            # first line that is not blank, if there is one.
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            if first is None:
+                columns = [np.empty(0) if t is float else [] for t in dtypes]
+            else:
+                table = np.loadtxt(
+                    itertools.chain([first], fh), delimiter=",", quotechar='"', comments=None,
+                    dtype=[(h, "f8" if t is float else "O") for h, t in zip(header, dtypes)],
+                    ndmin=1,
+                )
+                columns = [np.array(table[h]) if t is float
+                           else list(map(_PARSE[t], table[h].tolist()))
+                           for h, t in zip(header, dtypes)]
+                del table  # its field strings, before build makes records
+            return build(*columns) if build is not None else columns
+        except (ValueError, TanhDriftError, csv.Error) as exc:
+            _raise_first_error(path, header, dtypes, build, exc)
+
+
+def _check_field_limit(path: Path) -> None:
+    """Raise csv.Error if a field of the file is longer than csv's field
+    limit, which loadtxt does not enforce.
+
+    Such a field needs a file and a line longer than the limit, or a
+    quoted field that spans lines; only then is the file scanned with
+    csv.reader.
+    """
+    limit = csv.field_size_limit()
+    if os.path.getsize(path) <= limit:
+        return
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b'"' in data or max(map(len, data.split(b"\n"))) > limit:
+        with open(path, newline="") as fh:
+            collections.deque(csv.reader(fh), maxlen=0)
+
+
+def _raise_first_error(
+    path: Path,
+    header: list[str],
+    dtypes: Sequence[type],
+    build: Callable[..., object] | None,
+    exc: Exception,
+) -> NoReturn:
+    """Raise the first error of a CSV that _read_csv rejected, row by row.
+
+    Re-reads path with csv.reader and stops at the first row that cannot
+    be read, has the wrong field count, holds a field its column type
+    rejects, or that build rejects as a one-row table. That error names
+    path:lineno and is a DataError, of its own type if it is one. A
+    decoding error names the path only: text is decoded a block at a
+    time, so no line number fits. If no row fails, exc is raised as a
+    DataError. Returns no data.
+    """
+    parse = [_PARSE[t] for t in dtypes]
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            got = next(reader, None)
-            if got != header:
-                raise DataError(f"{path}: expected header {','.join(header)}, got {got}")
-            for row in reader:
-                if not row:
+            next(reader, None)
+            for fields in reader:
+                if not fields:
                     continue
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                    )
-                out.append(parse(row))
-        except UnicodeDecodeError as exc:
-            # Text is decoded a block at a time, so no line number fits.
-            raise DataError(f"{path}: {exc}") from exc
-        except (ValueError, ValidationError, csv.Error) as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    return out
+                if len(fields) != len(header):
+                    raise csv.Error(f"expected {len(header)} fields, got {len(fields)}")
+                values = [read(text) for read, text in zip(parse, fields)]
+                if build is not None:
+                    build(*[np.array([v]) if t is float else [v] for t, v in zip(dtypes, values)])
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: {err}") from err
+        except (ValueError, TanhDriftError, csv.Error) as err:
+            cls = type(err) if isinstance(err, DataError) else DataError
+            raise cls(f"{path}:{reader.line_num}: {err}") from err
+    raise DataError(f"{path}: {exc}") from exc
 
 
 def load_spread_series(path, name: str | None = None) -> SpreadSeries:
     """Read a per-name CSV with header date,price,spread_bps (ISO dates)."""
     path = Path(path)
-    rows = _read_csv(
-        path, _SPREAD_HEADER, lambda r: (dt.date.fromisoformat(r[0]), float(r[1]), float(r[2]))
-    )
-    if not rows:
+    dates, price, spread = _read_csv(path, _SPREAD_HEADER, (dt.date, float, float))
+    if not dates:
         raise DataError(f"{path}: no observations")
-    dates, price, spread = zip(*rows)
     return SpreadSeries(name if name is not None else path.stem, dates, price, spread)
 
 
@@ -343,13 +434,16 @@ def write_signals_csv(records: Iterable[SignalRecord], path) -> None:
             )
 
 
+def _signal_records(names, starts, ends, nu, a_tilde, r_squared, n_obs) -> list[SignalRecord]:
+    return list(map(SignalRecord, names, starts, ends, nu.tolist(), a_tilde.tolist(),
+                    r_squared.tolist(), n_obs, itertools.repeat(math.nan)))
+
+
 def load_signals_csv(path) -> dict[str, list[SignalRecord]]:
     """Read a signals CSV back into per-name record lists (stderr not kept)."""
     path = Path(path)
-    records = _read_csv(path, _SIGNAL_HEADER, lambda r: SignalRecord(
-        r[0], dt.date.fromisoformat(r[1]), dt.date.fromisoformat(r[2]),
-        float(r[3]), float(r[4]), float(r[5]), int(r[6]), slope_stderr=float("nan"),
-    ))
+    records = _read_csv(path, _SIGNAL_HEADER, (str, dt.date, dt.date, float, float, float, int),
+                        _signal_records)
     if not records:
         raise EmptyResult(f"{path}: no signal records")
     out: dict[str, list[SignalRecord]] = {}

@@ -303,7 +303,11 @@ def cmd_density(opts: dict) -> int:
         cfg = mc.SimConfig(n_paths=opts["mc_paths"], dt=mdt, horizon=t,
                            seed=opts["mc_seed"], x0=x0)
         terminal = mc.terminal_values(params, cfg)
-        mc_col, _ = np.histogram(terminal, bins=edges, density=True)
+        # Density over all paths, not only those inside the table (as
+        # np.histogram(density=True) would), in np.histogram's own order
+        # of operations.
+        counts, _ = np.histogram(terminal, bins=edges)
+        mc_col = counts / np.diff(edges) / terminal.size
         columns["monte_carlo"] = mc_col
         disc = float(np.max(np.abs(mc_col - closed))) / peak
         if not (disc <= opts["tol_mc"]):

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import expit
 
 from .cds import SpreadModelConfig, _read_csv
-from .errors import DataError, ValidationError
+from .errors import DataError, NonPositiveValue, ValidationError
 from .mc import SimConfig, simulate
 from .model import ModelParams
 
@@ -157,12 +157,12 @@ def generate_universe(spec: UniverseSpec, out_dir) -> dict:
         name = f"N{i:03d}"
         price_rel = f"prices/{name}.csv"
         spread_rel = f"spreads/{name}.csv"
-        row = prices[i].tolist()
+        price_text = list(map(repr, prices[i].tolist()))
         with open(out / price_rel, "w", newline="") as fh:
-            fh.write("date,price\n" + "".join([f"{d},{p!r}\n" for d, p in zip(dates, row)]))
+            fh.write("date,price\n" + "".join([f"{d},{p}\n" for d, p in zip(dates, price_text)]))
         lines = [
-            f"{d},{p!r},{z!r}\n"
-            for d, p, z, ok in zip(dates, row, spreads[i].tolist(), healthy[i].tolist())
+            f"{d},{p},{z!r}\n"
+            for d, p, z, ok in zip(dates, price_text, spreads[i].tolist(), healthy[i].tolist())
             if ok
         ]
         with open(out / spread_rel, "w", newline="") as fh:
@@ -191,13 +191,25 @@ def load_manifest(path) -> list[tuple[str, Path, Path]]:
     """Read manifest.csv; file paths are resolved relative to it."""
     path = Path(path)
     base = path.parent
-    return _read_csv(path, _MANIFEST_HEADER, lambda r: (r[0], base / r[1], base / r[2]))
+    names, prices, spreads = _read_csv(path, _MANIFEST_HEADER, (str, str, str))
+    return [(name, base / p, base / z) for name, p, z in zip(names, prices, spreads)]
+
+
+def _price_rows(dates: list[dt.date], price: np.ndarray) -> list[tuple[dt.date, float]]:
+    bad = np.flatnonzero(~(np.isfinite(price) & (price > 0)))
+    if bad.size:
+        raise NonPositiveValue(f"price must be finite and > 0, got {float(price[bad[0]])}")
+    return list(zip(dates, price.tolist()))
 
 
 def load_price_series(path) -> list[tuple[dt.date, float]]:
-    """Read a per-name price CSV with header date,price (ISO dates)."""
+    """Read a per-name price CSV with header date,price (ISO dates).
+
+    Every price must be finite and > 0: NonPositiveValue names the
+    first line where one is not.
+    """
     path = Path(path)
-    out = _read_csv(path, _PRICE_HEADER, lambda r: (dt.date.fromisoformat(r[0]), float(r[1])))
+    out = _read_csv(path, _PRICE_HEADER, (dt.date, float), _price_rows)
     if not out:
         raise DataError(f"{path}: no price rows")
     return out
@@ -206,7 +218,8 @@ def load_price_series(path) -> list[tuple[dt.date, float]]:
 def load_truth(path) -> dict[str, float]:
     """Read truth.csv into name -> true nu."""
     path = Path(path)
-    out = dict(_read_csv(path, _TRUTH_HEADER, lambda r: (r[0], float(r[1]))))
+    names, nu, *_ = _read_csv(path, _TRUTH_HEADER, (str, float, str, str, str))
+    out = dict(zip(names, nu.tolist()))
     if not out:
         raise DataError(f"{path}: no truth rows")
     return out

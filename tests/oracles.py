@@ -22,10 +22,17 @@ quadrature knows nothing of the mixture form.
 solve_fp_reference is the SuperLU Crank-Nicolson loop that
 fokker_planck.solve_fp replaced; the prefactored LAPACK version is
 checked against it.
+
+read_csv_reference and the five *_reference loaders are the row-wise
+csv.reader loaders that the columnar reader (cds._read_csv on
+numpy.loadtxt) replaced; the loaders are checked against them.
 """
 
+import csv
 import datetime as dt
 import math
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,9 +41,10 @@ from scipy.sparse.linalg import splu
 from scipy.special import expit
 from scipy.stats import norm
 
-from tanhdrift.cds import SignalRecord
+from tanhdrift.cds import SignalRecord, SpreadSeries
 from tanhdrift.errors import (
     DataError,
+    EmptyResult,
     NoOverlap,
     ToleranceError,
     UniverseTooSmall,
@@ -452,3 +460,103 @@ def solve_fp_reference(
     values = np.zeros(grid.n_x, dtype=float)
     values[1:-1] = u
     return DensityField(grid=grid, values=values, time=horizon)
+
+
+# Row-wise CSV loaders: csv.reader and one parse call per row, kept
+# verbatim (renamed *_reference) as the oracle for the columnar reader.
+
+_SPREAD_HEADER = ["date", "price", "spread_bps"]
+_SIGNAL_HEADER = ["name", "window_start", "window_end", "nu_hat", "a_tilde", "r_squared", "n_obs"]
+_MANIFEST_HEADER = ["name", "price_file", "spread_file"]
+_TRUTH_HEADER = ["name", "nu", "sigma", "s_star", "s0"]
+_PRICE_HEADER = ["date", "price"]
+
+
+def read_csv_reference(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> list:
+    """parse(row) for each data row of a CSV whose header is exactly header.
+
+    Blank lines are skipped and every other row must have the header's
+    field count. A file that cannot be opened or decoded, another
+    header, a malformed row, a wrong field count and a ValueError or
+    ValidationError from parse each raise DataError naming the path (and
+    path:lineno for a row).
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    out = []
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise DataError(f"{path}: expected header {','.join(header)}, got {got}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                out.append(parse(row))
+        except UnicodeDecodeError as exc:
+            # Text is decoded a block at a time, so no line number fits.
+            raise DataError(f"{path}: {exc}") from exc
+        except (ValueError, ValidationError, csv.Error) as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    return out
+
+
+def load_spread_series_reference(path, name: str | None = None) -> SpreadSeries:
+    """Read a per-name CSV with header date,price,spread_bps (ISO dates)."""
+    path = Path(path)
+    rows = read_csv_reference(
+        path, _SPREAD_HEADER, lambda r: (dt.date.fromisoformat(r[0]), float(r[1]), float(r[2]))
+    )
+    if not rows:
+        raise DataError(f"{path}: no observations")
+    dates, price, spread = zip(*rows)
+    return SpreadSeries(name if name is not None else path.stem, dates, price, spread)
+
+
+def load_signals_csv_reference(path) -> dict[str, list[SignalRecord]]:
+    """Read a signals CSV back into per-name record lists (stderr not kept)."""
+    path = Path(path)
+    records = read_csv_reference(path, _SIGNAL_HEADER, lambda r: SignalRecord(
+        r[0], dt.date.fromisoformat(r[1]), dt.date.fromisoformat(r[2]),
+        float(r[3]), float(r[4]), float(r[5]), int(r[6]), slope_stderr=float("nan"),
+    ))
+    if not records:
+        raise EmptyResult(f"{path}: no signal records")
+    out: dict[str, list[SignalRecord]] = {}
+    for rec in records:
+        out.setdefault(rec.name, []).append(rec)
+    return out
+
+
+def load_manifest_reference(path) -> list[tuple[str, Path, Path]]:
+    """Read manifest.csv; file paths are resolved relative to it."""
+    path = Path(path)
+    base = path.parent
+    return read_csv_reference(path, _MANIFEST_HEADER, lambda r: (r[0], base / r[1], base / r[2]))
+
+
+def load_price_series_reference(path) -> list[tuple[dt.date, float]]:
+    """Read a per-name price CSV with header date,price (ISO dates)."""
+    path = Path(path)
+    out = read_csv_reference(
+        path, _PRICE_HEADER, lambda r: (dt.date.fromisoformat(r[0]), float(r[1]))
+    )
+    if not out:
+        raise DataError(f"{path}: no price rows")
+    return out
+
+
+def load_truth_reference(path) -> dict[str, float]:
+    """Read truth.csv into name -> true nu."""
+    path = Path(path)
+    out = dict(read_csv_reference(path, _TRUTH_HEADER, lambda r: (r[0], float(r[1]))))
+    if not out:
+        raise DataError(f"{path}: no truth rows")
+    return out

@@ -77,7 +77,8 @@ def test_density_writes_csv_and_config(tmp_path):
     # the closed form underflows to 0 on the table: no peak to scale by
     (["--x-min", 10, "--x-max", 11, "--compare-mc"], EXIT_VALIDATION),
     (["--x-min", 10, "--x-max", 11, "--compare-fp"], EXIT_VALIDATION),
-    # no Monte Carlo path lands in the table: a NaN discrepancy fails
+    # no Monte Carlo path lands in the table: its column is all 0, a
+    # discrepancy of 1 fails
     (["--x-min", 3, "--x-max", 4, "--compare-mc", "--mc-paths", 1000], EXIT_TOLERANCE),
 ], ids=["zero-peak-mc", "zero-peak-fp", "no-path-in-table"])
 def test_density_comparison_off_the_mass(capsys, extra, expected):
@@ -85,7 +86,24 @@ def test_density_comparison_off_the_mass(capsys, extra, expected):
         warnings.simplefilter("ignore", RuntimeWarning)
         code = _run("density", "--nu", 1, "--sigma", 0.2, "--x0", 0, "--t", 1, *extra)
     assert code == expected
-    assert ("no peak" if expected == EXIT_VALIDATION else "nan > 0.1") in capsys.readouterr().err
+    assert ("no peak" if expected == EXIT_VALIDATION else "1.000e+00 > 0.1") in capsys.readouterr().err
+
+
+def test_density_monte_carlo_column_is_over_all_paths(tmp_path, capsys):
+    # A table that holds part of the mass: the Monte Carlo column counts
+    # the paths outside it too, so it matches the closed form; a table
+    # that no path reaches reads 0 without a numpy warning.
+    base = ["density", "--nu", 1, "--sigma", 0.2, "--x0", 0, "--t", 1, "--compare-mc"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(*base, "--x-min", 0, "--x-max", 0.5, "--n-points", 10,
+                    "--mc-paths", 20000) == EXIT_OK
+        assert _run(*base, "--x-min", 3, "--x-max", 4, "--mc-paths", 1000,
+                    "--out-dir", tmp_path) == EXIT_TOLERANCE
+    rows = (tmp_path / "density.csv").read_text().splitlines()
+    assert rows[0] == "x,closed_form,monte_carlo"
+    assert {row.split(",")[2] for row in rows[1:]} == {"0.0"}
+    assert "monte-carlo discrepancy 1.000e+00 > 0.1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +417,19 @@ def test_backtest_non_finite_signal_is_a_data_error(tmp_path, capsys):
                 "--out-dir", tmp_path / "bt")
     assert code == EXIT_DATA
     assert "signals.csv:3: nu_hat, a_tilde must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-3.0"])
+def test_backtest_bad_price_is_a_data_error_at_its_line(tmp_path, capsys, value):
+    uni, sig = _small_pipeline(tmp_path)
+    prices = uni / "prices" / "N001.csv"
+    lines = prices.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + "," + value
+    prices.write_text("\n".join(lines) + "\n")
+    code = _run("backtest", "--manifest", uni / "manifest.csv", "--signals", sig,
+                "--out-dir", tmp_path / "bt")
+    assert code == EXIT_DATA
+    assert f"N001.csv:6: price must be finite and > 0, got {value}" in capsys.readouterr().err
 
 
 def test_backtest_nine_names_exit_code(tmp_path):
