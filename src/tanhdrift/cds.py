@@ -14,9 +14,11 @@ reported raw; S_star is deliberately not extracted (it is unidentifiable
 without knowing b, and the intercept is unstable out-of-sample) --
 :func:`implied_s_star` computes it only when the caller supplies (R, T).
 
-A name's observations are held as arrays (:class:`SpreadSeries`), and
-all windows of a name are fitted in one batched pass whose numbers are
-those of scipy.stats.linregress per window. Every CSV file of the
+A name's observations are held as arrays (:class:`SpreadSeries`), all
+windows of a name are fitted in one batched pass whose numbers are those
+of scipy.stats.linregress per window, and a name's fits are one table of
+columns (:class:`Signals`). Dates are datetime64[D] arrays throughout,
+read from text by dt.date.fromisoformat only. Every CSV file of the
 package is read through one columnar reader, :func:`_read_csv`: exact
 header, blank lines skipped, one field per header column on every other
 row. It reads the body with a single numpy.loadtxt call, so floats are
@@ -26,7 +28,6 @@ is rejected is it read again row by row, to name the line at fault.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import csv
 import datetime as dt
@@ -54,7 +55,7 @@ from .model import Direction, ModelParams, default_prob_asymptotic
 __all__ = [
     "MIN_WINDOW",
     "SpreadSeries",
-    "SignalRecord",
+    "Signals",
     "SpreadModelConfig",
     "synth_spread",
     "extract_nu",
@@ -72,66 +73,91 @@ log = logging.getLogger(__name__)
 MIN_WINDOW = 15
 
 
+def _days(dates) -> np.ndarray:
+    """dt.date objects as a datetime64[D] array, through their ordinals:
+    numpy's own conversion of date objects is about 20 times slower."""
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    return np.datetime64("0001-01-01", "D") + (ordinals - 1)
+
+
+def _store_columns(table, dtypes: dict) -> None:
+    """Store each column named in dtypes as a read-only 1-D copy of that
+    dtype; all must be as long as the first."""
+    n = np.size(getattr(table, next(iter(dtypes))))
+    for label, dtype in dtypes.items():
+        values = np.array(getattr(table, label), dtype=dtype)
+        if values.shape != (n,):
+            raise ValidationError(f"{table.name}: {label} has shape {values.shape}, not ({n},)")
+        values.setflags(write=False)
+        object.__setattr__(table, label, values)
+
+
 @dataclass(frozen=True, eq=False)
 class SpreadSeries:
     """One instrument's observations as arrays, in date order.
 
-    dates is a tuple of strictly increasing dt.date; price and spread
-    (in bps) are float arrays of the same length, stored as read-only
-    copies. Every price and spread must be finite and > 0, since logs
-    are taken of both.
+    dates is a datetime64[D] array of strictly increasing days; price
+    and spread (in bps) are float arrays of the same length. All three
+    are stored as read-only copies. Every price and spread must be
+    finite and > 0, since logs are taken of both.
     """
 
     name: str
-    dates: tuple[dt.date, ...]
+    dates: np.ndarray
     price: np.ndarray
     spread: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
+        _store_columns(self, {"dates": "M8[D]", "price": float, "spread": float})
+        dates = self.dates
         for label in ("price", "spread"):
-            values = np.array(getattr(self, label), dtype=float)
-            if values.shape != (len(self.dates),):
-                raise ValidationError(
-                    f"{self.name}: {len(self.dates)} dates but {label} has shape {values.shape}"
-                )
+            values = getattr(self, label)
             bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
             if bad.size:
-                i = bad[0]
-                raise NonPositiveValue(
-                    f"{self.name}: {label} must be finite > 0, got {values[i]} on {self.dates[i]}"
-                )
-            values.setflags(write=False)
-            object.__setattr__(self, label, values)
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise ValidationError(
-                    f"{self.name}: observation dates must be strictly increasing "
-                    f"({a} then {b})"
-                )
+                raise NonPositiveValue(f"{self.name}: {label} must be finite > 0, "
+                                       f"got {values[bad[0]]} on {dates[bad[0]]}")
+        bad = np.flatnonzero(dates[1:] <= dates[:-1])
+        if bad.size:
+            raise ValidationError(f"{self.name}: observation dates must be strictly increasing "
+                                  f"({dates[bad[0]]} then {dates[bad[0] + 1]})")
 
     def __len__(self) -> int:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class SignalRecord:
-    """Extracted signal for one name over one window."""
+@dataclass(frozen=True, eq=False)
+class Signals:
+    """One name's extracted signals as columns, one row per window.
+
+    window_start and window_end are datetime64[D], n_obs int64 and the
+    rest float64, stored as read-only copies of one length. nu_hat and
+    a_tilde must be finite and r_squared in [0, 1] or NaN.
+    """
 
     name: str
-    window_start: dt.date
-    window_end: dt.date
-    nu_hat: float
-    a_tilde: float
-    r_squared: float
-    n_obs: int
-    slope_stderr: float
+    window_start: np.ndarray
+    window_end: np.ndarray
+    nu_hat: np.ndarray
+    a_tilde: np.ndarray
+    r_squared: np.ndarray
+    n_obs: np.ndarray
+    slope_stderr: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu_hat) and math.isfinite(self.a_tilde)):
-            raise ValidationError(f"nu_hat, a_tilde must be finite: {self.nu_hat}, {self.a_tilde}")
-        if not (0.0 <= self.r_squared <= 1.0 or math.isnan(self.r_squared)):
-            raise ValidationError(f"r_squared out of [0, 1]: {self.r_squared}")
+        _store_columns(self, {"window_start": "M8[D]", "window_end": "M8[D]", "nu_hat": float,
+                              "a_tilde": float, "r_squared": float, "n_obs": np.int64,
+                              "slope_stderr": float})
+        nu, a, r2 = self.nu_hat, self.a_tilde, self.r_squared
+        bad = np.flatnonzero(~(np.isfinite(nu) & np.isfinite(a)))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(f"nu_hat, a_tilde must be finite: {float(nu[i])}, {float(a[i])}")
+        bad = np.flatnonzero(~((r2 >= 0.0) & (r2 <= 1.0) | np.isnan(r2)))
+        if bad.size:
+            raise ValidationError(f"r_squared out of [0, 1]: {float(r2[bad[0]])}")
+
+    def __len__(self) -> int:
+        return len(self.nu_hat)
 
 
 @dataclass(frozen=True)
@@ -174,22 +200,20 @@ def synth_spread(params: ModelParams, cfg: SpreadModelConfig, s0: float) -> floa
     return cfg.b * p
 
 
-def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> list[SignalRecord]:
+def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> Signals:
     """OLS of ln(spread) on ln(price) over the w observations from each
     index in starts, all windows at once.
 
     Windows with a log-price sample std below 1e-10 have no slope and
-    get no record; so do one-observation windows, whose sample std is
+    get no row; so do one-observation windows, whose sample std is
     undefined. A window of constant spreads fits slope 0 with r_squared
     1 and stderr 0. Every other window gets what scipy.stats.linregress
     gives for it, bit for bit: its moments are np.cov(x, y, bias=1),
     centred rows times their own transpose, scaled by 1/w.
     """
-    if w < 2:
-        return []
     idx = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(w)
     xy = np.stack([np.log(series.price)[idx], np.log(series.spread)[idx]], axis=1)
-    keep = np.std(xy[:, 0], axis=1, ddof=1) >= 1e-10
+    keep = np.std(xy[:, 0], axis=1, ddof=1) >= 1e-10 if w > 1 else np.zeros(len(idx), bool)
     first, xy = idx[keep, 0], xy[keep]
     mean = xy.mean(axis=2)
     d = xy - mean[:, :, None]
@@ -204,13 +228,8 @@ def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> list[SignalRec
         r2 = np.where(flat, 1.0, [v**2 for v in r.tolist()])
         stderr = np.sqrt((1.0 - r2) * ssym / ssxm / (w - 2)) if w > 2 else np.zeros_like(r2)
     intercept = np.where(flat, xy[:, 1, 0], mean[:, 1] - slope * mean[:, 0])
-    name, dates = series.name, series.dates
-    return [
-        SignalRecord(name, dates[i], dates[i + w - 1], -b / 2.0, a, min(q, 1.0), w, e)
-        for i, b, a, q, e in zip(
-            first.tolist(), slope.tolist(), intercept.tolist(), r2.tolist(), stderr.tolist()
-        )
-    ]
+    return Signals(series.name, series.dates[first], series.dates[first + (w - 1)], -slope / 2.0,
+                   intercept, np.minimum(r2, 1.0), np.full(len(first), w), stderr)
 
 
 def extract_nu(
@@ -218,8 +237,8 @@ def extract_nu(
     window_start: dt.date,
     window_end: dt.date,
     min_window: int = MIN_WINDOW,
-) -> SignalRecord:
-    """OLS of ln(spread) on ln(price) over [window_start, window_end].
+) -> Signals:
+    """OLS of ln(spread) on ln(price) over [window_start, window_end]: one row.
 
     nu_hat = -slope / 2, a_tilde = intercept; r_squared and the slope
     standard error are kept as fit diagnostics. Raises InsufficientData
@@ -227,17 +246,17 @@ def extract_nu(
     DegeneratePrices when the log-price variation is too small to
     identify a slope.
     """
-    lo = bisect.bisect_left(series.dates, window_start)
-    n = bisect.bisect_right(series.dates, window_end) - lo
+    lo = int(np.searchsorted(series.dates, np.datetime64(window_start, "D")))
+    n = int(np.searchsorted(series.dates, np.datetime64(window_end, "D"), side="right")) - lo
     need = max(min_window, 1)
     if n < need:
         raise InsufficientData(f"{series.name}: {max(n, 0)} observations in window, need >= {need}")
-    records = _fits(series, [lo], n)
-    if not records:
+    table = _fits(series, [lo], n)
+    if not len(table):
         raise DegeneratePrices(
             f"{series.name}: log-price sample std < 1e-10 or undefined, no slope"
         )
-    return records[0]
+    return table
 
 
 def rolling_extract(
@@ -245,8 +264,8 @@ def rolling_extract(
     window_len: int,
     stride: int,
     min_window: int = MIN_WINDOW,
-) -> list[SignalRecord]:
-    """Sliding-window extraction: one record per window end date.
+) -> Signals:
+    """Sliding-window extraction: one row per window, in window order.
 
     Windows are window_len consecutive observations advanced by stride;
     a trailing partial window is not emitted. Windows that fail (fewer
@@ -257,18 +276,16 @@ def rolling_extract(
     if window_len < 1 or stride < 1:
         raise ValidationError(f"window_len and stride must be >= 1, got {window_len}, {stride}")
     starts = range(0, len(series) - window_len + 1, stride)
-    if window_len < min_window:
-        records: list[SignalRecord] = []
-        reason = f"{window_len} < {min_window} observations"
-    else:
-        records = _fits(series, starts, window_len)
-        reason = "log-price sample std < 1e-10 or undefined, no slope"
-    if len(records) < len(starts):
+    short = window_len < min_window
+    table = _fits(series, [] if short else starts, window_len)
+    if len(table) < len(starts):
+        reason = (f"{window_len} < {min_window} observations" if short
+                  else "log-price sample std < 1e-10 or undefined, no slope")
         log.warning("%s: %d of %d windows skipped: %s",
-                    series.name, len(starts) - len(records), len(starts), reason)
-    if not records:
+                    series.name, len(starts) - len(table), len(starts), reason)
+    if not len(table):
         raise EmptyResult(f"{series.name}: no window produced a usable fit")
-    return records
+    return table
 
 
 def implied_s_star(nu_hat: float, a_tilde: float, cfg: SpreadModelConfig) -> float:
@@ -302,6 +319,7 @@ def _c_float(text: str) -> float:
 
 # How a field of each column type is read: float columns by numpy's C
 # tokenizer (and _c_float when an error is located), the rest in bulk.
+# Dates go through dt.date, never numpy's looser date parser.
 _PARSE = {float: _c_float, int: int, str: str, dt.date: dt.date.fromisoformat}
 
 
@@ -352,9 +370,9 @@ def _read_csv(
                 columns = [np.array(table[h]) if t is float
                            else list(map(_PARSE[t], table[h].tolist()))
                            for h, t in zip(header, dtypes)]
-                del table  # its field strings, before build makes records
+                del table  # its field strings, before build runs
             return build(*columns) if build is not None else columns
-        except (ValueError, TanhDriftError, csv.Error) as exc:
+        except (ValueError, OverflowError, TanhDriftError, csv.Error) as exc:
             _raise_first_error(path, header, dtypes, build, exc)
 
 
@@ -387,7 +405,8 @@ def _raise_first_error(
 
     Re-reads path with csv.reader and stops at the first row that cannot
     be read, has the wrong field count, holds a field its column type
-    rejects, or that build rejects as a one-row table. That error names
+    rejects, or that build rejects as a one-row table; build sees the
+    rows one at a time, in file order. That error names
     path:lineno and is a DataError, of its own type if it is one. A
     decoding error names the path only: text is decoded a block at a
     time, so no line number fits. If no row fails, exc is raised as a
@@ -408,7 +427,7 @@ def _raise_first_error(
                     build(*[np.array([v]) if t is float else [v] for t, v in zip(dtypes, values)])
         except UnicodeDecodeError as err:
             raise DataError(f"{path}: {err}") from err
-        except (ValueError, TanhDriftError, csv.Error) as err:
+        except (ValueError, OverflowError, TanhDriftError, csv.Error) as err:
             cls = type(err) if isinstance(err, DataError) else DataError
             raise cls(f"{path}:{reader.line_num}: {err}") from err
     raise DataError(f"{path}: {exc}") from exc
@@ -420,33 +439,35 @@ def load_spread_series(path, name: str | None = None) -> SpreadSeries:
     dates, price, spread = _read_csv(path, _SPREAD_HEADER, (dt.date, float, float))
     if not dates:
         raise DataError(f"{path}: no observations")
-    return SpreadSeries(name if name is not None else path.stem, dates, price, spread)
+    return SpreadSeries(name if name is not None else path.stem, _days(dates), price, spread)
 
 
-def write_signals_csv(records: Iterable[SignalRecord], path) -> None:
-    """Write records as name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs."""
+def write_signals_csv(tables: Iterable[Signals], path) -> None:
+    """Write tables in turn as name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_SIGNAL_HEADER) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.name},{r.window_start.isoformat()},{r.window_end.isoformat()},"
-                f"{r.nu_hat!r},{r.a_tilde!r},{r.r_squared!r},{r.n_obs}\n"
-            )
+        for t in tables:
+            columns = (np.datetime_as_string(t.window_start), np.datetime_as_string(t.window_end),
+                       t.nu_hat, t.a_tilde, t.r_squared, t.n_obs)
+            fh.write("".join([f"{t.name},{s},{e},{nu!r},{a!r},{q!r},{n}\n"
+                              for s, e, nu, a, q, n in zip(*(c.tolist() for c in columns))]))
 
 
-def _signal_records(names, starts, ends, nu, a_tilde, r_squared, n_obs) -> list[SignalRecord]:
-    return list(map(SignalRecord, names, starts, ends, nu.tolist(), a_tilde.tolist(),
-                    r_squared.tolist(), n_obs, itertools.repeat(math.nan)))
+def _signal_tables(names, starts, ends, *fits) -> dict[str, Signals]:
+    """One table per name, of its rows in file order (stderr not kept)."""
+    rows: dict[str, list[int]] = {}
+    for i, name in enumerate(names):
+        rows.setdefault(name, []).append(i)
+    columns = [_days(starts), _days(ends), *map(np.asarray, fits), np.full(len(names), math.nan)]
+    return {name: Signals(name, *(c[idx] for c in columns)) for name, idx in rows.items()}
 
 
-def load_signals_csv(path) -> dict[str, list[SignalRecord]]:
-    """Read a signals CSV back into per-name record lists (stderr not kept)."""
+def load_signals_csv(path) -> dict[str, Signals]:
+    """Read a signals CSV back into one table per name, in the order of
+    each name's first row; a name's rows keep their file order."""
     path = Path(path)
-    records = _read_csv(path, _SIGNAL_HEADER, (str, dt.date, dt.date, float, float, float, int),
-                        _signal_records)
-    if not records:
+    tables = _read_csv(path, _SIGNAL_HEADER, (str, dt.date, dt.date, float, float, float, int),
+                       _signal_tables)
+    if not tables:
         raise EmptyResult(f"{path}: no signal records")
-    out: dict[str, list[SignalRecord]] = {}
-    for rec in records:
-        out.setdefault(rec.name, []).append(rec)
-    return out
+    return tables

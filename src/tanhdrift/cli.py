@@ -476,27 +476,28 @@ def cmd_extract(opts: dict) -> int:
     rows = universe.load_manifest(opts["manifest"])
     if not rows:
         raise EmptyResult(f"manifest {opts['manifest']} lists no names")
-    records: list[cds.SignalRecord] = []
+    tables: list[cds.Signals] = []
     errors: list[tuple[str, str]] = []
     for name, _price_path, spread_path in rows:
         try:
             series = cds.load_spread_series(spread_path, name=name)
-            records.extend(
+            tables.append(
                 cds.rolling_extract(series, opts["window"], opts["stride"], opts["min_window"])
             )
         except (DataError, ValidationError) as exc:
             errors.append((name, str(exc)))
     for name, reason in errors:
         print(f"error: {name}: {reason}", file=sys.stderr)
-    if not records:
+    if not tables:
         raise EmptyResult("no name produced any signal record")
-    records.sort(key=lambda r: (r.name, r.window_end))
+    # names are unique and each table is in window_end order
+    tables.sort(key=lambda t: t.name)
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    cds.write_signals_csv(records, out)
+    cds.write_signals_csv(tables, out)
     _write_resolved_config("extract", opts, out.parent)
     print(
-        f"wrote {len(records)} records for {len({r.name for r in records})} names to {out}"
+        f"wrote {sum(map(len, tables))} records for {len(tables)} names to {out}"
         + (f" ({len(errors)} names failed)" if errors else "")
     )
     return EXIT_OK
@@ -519,9 +520,7 @@ def cmd_backtest(opts: dict) -> int:
     payload = report.to_dict()
     if opts["truth"] is not None:
         true_nu = universe.load_truth(opts["truth"])
-        extracted = {
-            name: float(np.median([r.nu_hat for r in recs])) for name, recs in signals.items()
-        }
+        extracted = {name: float(np.median(s.nu_hat)) for name, s in signals.items()}
         rho = portfolio.signal_quality(true_nu, extracted)
         if math.isnan(rho):
             payload["spearman_true_extracted"] = None

@@ -1,7 +1,7 @@
 """Seeded Euler-Maruyama simulation of the log-price SDE.
 
 Serves as the stochastic oracle for the closed-form results: path
-ensembles, terminal-value histograms, and Monte Carlo estimates of
+ensembles, terminal values, and Monte Carlo estimates of
 regime-transition probabilities (terminal-time classification, not
 first passage).
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,11 +34,9 @@ __all__ = [
     "SimConfig",
     "PathEnsemble",
     "MCEstimate",
-    "Histogram",
     "simulate",
     "terminal_values",
     "mc_transition_prob",
-    "mc_density_histogram",
     "write_ensemble_csv",
 ]
 
@@ -102,15 +100,6 @@ class MCEstimate:
             raise ValidationError(f"std_error must be >= 0, got {self.std_error}")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Normalized terminal-value histogram (integrates to 1 over bins)."""
-
-    edges: np.ndarray
-    density: np.ndarray
-    n_samples: int = field(default=1)
 
 
 def _step_normals(seed: int, step: int, n: int) -> np.ndarray:
@@ -202,31 +191,6 @@ def mc_transition_prob(params: ModelParams, cfg: SimConfig, direction: Direction
     p = float(np.mean(hits))
     se = math.sqrt(p * (1.0 - p) / cfg.n_paths)
     return MCEstimate(value=p, std_error=se, n=cfg.n_paths)
-
-
-def mc_density_histogram(ensemble: PathEnsemble, bins=50, bin_range=None) -> Histogram:
-    """Normalized histogram of terminal values X_T.
-
-    bins/bin_range follow numpy.histogram; density integrates to 1 over
-    the covered range (samples outside explicit bins are excluded and
-    the remainder renormalized). Rejects empty ensembles and degenerate
-    (non-increasing or zero-width) bins.
-    """
-    if ensemble.paths.size == 0 or ensemble.paths.shape[0] < 1:
-        raise ValidationError("empty ensemble")
-    terminal = ensemble.paths[:, -1]
-    if np.ndim(bins) == 1:
-        edges = np.asarray(bins, dtype=float)
-        if edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValidationError("bin edges must be strictly increasing")
-    elif bin_range is not None:
-        lo, hi = bin_range
-        if not (hi > lo):
-            raise ValidationError(f"degenerate bin range ({lo}, {hi})")
-    density, edges = np.histogram(terminal, bins=bins, range=bin_range, density=True)
-    if not np.all(np.isfinite(density)):
-        raise ValidationError("histogram is degenerate (no samples in range?)")
-    return Histogram(edges=edges, density=density, n_samples=terminal.size)
 
 
 def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:

@@ -7,13 +7,16 @@ holds between rebalances, and reports daily returns, annualized Sharpe
 modeled; turnover is reported so cost assumptions can be applied
 externally.
 
+A name's prices are a PriceSeries, the (datetime64[D] dates, prices)
+arrays of universe.load_price_series, and its signals a cds.Signals table.
+
 No lookahead by construction: weights set on a rebalance date use only
 signals stamped window_end <= that date and prices up to it, and earn
 returns only from the following trading day.
 
-As-of semantics. A name's signal on date d is, among its records with
+As-of semantics. A name's signal on date d is, among its rows with
 window_end <= d, the one with the latest (window_end, window_start);
-of records with equal keys the first in input order wins. Its realized
+of rows with equal keys the first in table order wins. Its realized
 variance (rank_by "mu_tilde") uses the name's price days in
 [window_start, window_end] and needs at least 3 of them. A name enters
 the ranking on d only if it has a price on d. Of duplicate price dates
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cds import SignalRecord
+from .cds import Signals, _days
 from .errors import (
     DataError,
     NoOverlap,
@@ -48,7 +51,7 @@ __all__ = [
     "signal_quality",
 ]
 
-PriceSeries = list[tuple[dt.date, float]]
+PriceSeries = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -154,14 +157,15 @@ def rank_deciles(snapshot: UniverseSnapshot) -> PortfolioSnapshot:
 
 
 def _price_arrays(name: str, series: PriceSeries) -> tuple[np.ndarray, np.ndarray]:
-    """One name's (day ordinals, prices), sorted by day; of duplicate
-    dates the last price is kept."""
-    prices = np.array([p for _, p in series], dtype=float)
+    """One name's (days, prices), sorted by day; of duplicate dates the
+    last price is kept."""
+    days, prices = np.asarray(series[0], dtype="M8[D]"), np.asarray(series[1], dtype=float)
+    if days.shape != prices.shape:
+        raise ValidationError(f"{name}: {days.size} dates but {prices.size} prices")
     bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0)))
     if bad.size:
-        d, p = series[bad[0]]
-        raise ValidationError(f"{name}: price must be finite and > 0, got {p} on {d}")
-    days = np.array([d.toordinal() for d, _ in series], dtype=np.int64)
+        raise ValidationError(f"{name}: price must be finite and > 0, "
+                              f"got {float(prices[bad[0]])} on {days[bad[0]]}")
     order = np.argsort(days, kind="stable")
     days, prices = days[order], prices[order]
     last = np.ones(len(days), dtype=bool)
@@ -169,12 +173,10 @@ def _price_arrays(name: str, series: PriceSeries) -> tuple[np.ndarray, np.ndarra
     return days[last], prices[last]
 
 
-def _signal_arrays(records: list[SignalRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(window_start, window_end) ordinals and nu_hat, sorted by
-    (window_end, window_start); of equal keys the first record is kept."""
-    starts = np.array([r.window_start.toordinal() for r in records], dtype=np.int64)
-    ends = np.array([r.window_end.toordinal() for r in records], dtype=np.int64)
-    nu = np.array([r.nu_hat for r in records], dtype=float)
+def _signal_arrays(table: Signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """window_start, window_end and nu_hat, sorted by (window_end,
+    window_start); of equal keys the first row is kept."""
+    starts, ends, nu = table.window_start, table.window_end, table.nu_hat
     order = np.lexsort((starts, ends))
     starts, ends, nu = starts[order], ends[order], nu[order]
     first = np.append(True, (ends[1:] != ends[:-1]) | (starts[1:] != starts[:-1]))
@@ -201,7 +203,7 @@ def _realized_vars(
 
 def backtest(
     prices: dict[str, PriceSeries],
-    signals: dict[str, list[SignalRecord]],
+    signals: dict[str, Signals],
     schedule: RebalanceSchedule | None = None,
     rank_by: str = "nu",
 ) -> BacktestReport:
@@ -234,32 +236,32 @@ def backtest(
     dated = [days for days, _ in arrays.values() if days.size]
     if not dated:
         raise DataError("price series contain no dates")
-    # The union of all price days, marked on the span of ordinals: cheaper
-    # in time and memory than np.unique over every name's days at once.
-    lo = min(int(days[0]) for days in dated)
-    seen = np.zeros(max(int(days[-1]) for days in dated) - lo + 1, dtype=bool)
+    # The union of all price days, marked on the span of days: cheaper in
+    # time and memory than np.unique over every name's days at once.
+    lo = min(days[0] for days in dated)
+    seen = np.zeros((max(days[-1] for days in dated) - lo).astype(int) + 1, dtype=bool)
     for days in dated:
-        seen[days - lo] = True
-    day_ords = lo + np.flatnonzero(seen)
-    trading_days = [dt.date.fromordinal(int(d)) for d in day_ords]
+        seen[(days - lo).astype(int)] = True
+    all_days = lo + np.flatnonzero(seen)
+    trading_days = all_days.tolist()
     schedule = schedule or RebalanceSchedule()
     rebalance_dates = schedule.resolve(trading_days)
-    reb_ords = np.array([d.toordinal() for d in rebalance_dates], dtype=np.int64)
-    reb_rows = np.searchsorted(day_ords, reb_ords)
+    reb_days = _days(rebalance_dates)
+    reb_rows = np.searchsorted(all_days, reb_days)
 
     # Days x names price panel (NaN where a name has no price) over the
     # names that have both prices and signals, in signal order.
-    names = [n for n, records in signals.items() if records and n in arrays]
+    names = [n for n, table in signals.items() if len(table) and n in arrays]
     column = {name: j for j, name in enumerate(names)}
-    panel = np.full((len(day_ords), len(names)), np.nan)
-    eligible = np.zeros((len(reb_ords), len(names)), dtype=bool)
-    scores = np.zeros((len(reb_ords), len(names)))
+    panel = np.full((len(all_days), len(names)), np.nan)
+    eligible = np.zeros((len(reb_days), len(names)), dtype=bool)
+    scores = np.zeros((len(reb_days), len(names)))
     aligned = False
     for j, name in enumerate(names):
         days, px = arrays[name]
-        panel[np.searchsorted(day_ords, days), j] = px
+        panel[np.searchsorted(all_days, days), j] = px
         starts, ends, nu = _signal_arrays(signals[name])
-        latest = np.searchsorted(ends, reb_ords, side="right") - 1
+        latest = np.searchsorted(ends, reb_days, side="right") - 1
         ok = (latest >= 0) & ~np.isnan(panel[reb_rows, j])
         aligned |= bool(ok.any())
         scores[:, j] = nu[latest]
@@ -286,7 +288,7 @@ def backtest(
             snapshots[row] = rank_deciles(UniverseSnapshot(date=d, entries=entries))
         else:
             snapshots[row] = PortfolioSnapshot(date=d, weights={})
-    if any(signals.values()):
+    if any(map(len, signals.values())):
         if peak == 0 and aligned:
             raise TooFewPriceDays(
                 "signals and prices align, but no signal window holds the 3 price days "

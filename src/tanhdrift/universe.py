@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .cds import SpreadModelConfig, _read_csv
+from .cds import SpreadModelConfig, _days, _read_csv
 from .errors import DataError, NonPositiveValue, ValidationError
 from .mc import SimConfig, simulate
 from .model import ModelParams
@@ -71,6 +71,8 @@ class UniverseSpec:
             raise ValidationError(f"n_names must be >= 1, got {self.n_names}")
         if self.days < 2:
             raise ValidationError(f"days must be >= 2, got {self.days}")
+        if trading_dates(self.start_date, self.days)[-1] > np.datetime64(dt.date.max):
+            raise ValidationError(f"{self.days} days from {self.start_date} end after year 9999")
         for label, (lo, hi) in (
             ("nu_range", self.nu_range),
             ("sigma_range", self.sigma_range),
@@ -93,15 +95,9 @@ class UniverseSpec:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-def trading_dates(start: dt.date, n: int) -> list[dt.date]:
-    """n consecutive weekdays starting at the first weekday >= start."""
-    out: list[dt.date] = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += dt.timedelta(days=1)
-    return out
+def trading_dates(start: dt.date, n: int) -> np.ndarray:
+    """n consecutive weekdays, as datetime64[D], from the first weekday >= start."""
+    return np.busday_offset(start, np.arange(n), roll="forward")
 
 
 def generate_universe(spec: UniverseSpec, out_dir) -> dict:
@@ -126,7 +122,7 @@ def generate_universe(spec: UniverseSpec, out_dir) -> dict:
     # them, and so the noise, stay what they were per name.
     sim_seeds = rng.integers(0, 2**62, size=n)
     noise_seeds = rng.integers(0, 2**62, size=n)
-    dates = [d.isoformat() for d in trading_dates(spec.start_date, spec.days)]
+    dates = np.datetime_as_string(trading_dates(spec.start_date, spec.days)).tolist()
 
     params = [
         ModelParams.from_threshold_price(float(nu), float(sigma), float(s_star))
@@ -188,31 +184,47 @@ def generate_universe(spec: UniverseSpec, out_dir) -> dict:
 
 
 def load_manifest(path) -> list[tuple[str, Path, Path]]:
-    """Read manifest.csv; file paths are resolved relative to it."""
+    """Read manifest.csv; file paths are resolved relative to it. A name
+    that holds a comma, quote, CR or LF, or repeats an earlier row, is a
+    data error at its line: signals.csv and weight files write names bare."""
     path = Path(path)
-    base = path.parent
-    names, prices, spreads = _read_csv(path, _MANIFEST_HEADER, (str, str, str))
-    return [(name, base / p, base / z) for name, p, z in zip(names, prices, spreads)]
+    earlier: set[str] = set()
+
+    def rows(names, prices, spreads):
+        # The reader passes the whole file, or one row at a time when it
+        # locates an error; names count as earlier once their call returns.
+        seen = set(earlier)
+        for name in names:
+            if set(name) & set(',"\r\n'):
+                raise DataError(f"name {name!r} holds a comma, quote or line break")
+            if name in seen:
+                raise DataError(f"name {name!r} repeats an earlier row")
+            seen.add(name)
+        earlier.update(seen)
+        return [(n, path.parent / p, path.parent / z) for n, p, z in zip(names, prices, spreads)]
+
+    return _read_csv(path, _MANIFEST_HEADER, (str, str, str), rows)
 
 
-def _price_rows(dates: list[dt.date], price: np.ndarray) -> list[tuple[dt.date, float]]:
+def _positive_prices(dates: list[dt.date], price: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(~(np.isfinite(price) & (price > 0)))
     if bad.size:
         raise NonPositiveValue(f"price must be finite and > 0, got {float(price[bad[0]])}")
-    return list(zip(dates, price.tolist()))
+    return _days(dates), price
 
 
-def load_price_series(path) -> list[tuple[dt.date, float]]:
-    """Read a per-name price CSV with header date,price (ISO dates).
+def load_price_series(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a per-name price CSV with header date,price (ISO dates) as
+    (datetime64[D] dates, float64 prices) in file order.
 
     Every price must be finite and > 0: NonPositiveValue names the
     first line where one is not.
     """
     path = Path(path)
-    out = _read_csv(path, _PRICE_HEADER, (dt.date, float), _price_rows)
-    if not out:
+    dates, price = _read_csv(path, _PRICE_HEADER, (dt.date, float), _positive_prices)
+    if not dates.size:
         raise DataError(f"{path}: no price rows")
-    return out
+    return dates, price
 
 
 def load_truth(path) -> dict[str, float]:

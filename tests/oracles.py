@@ -26,11 +26,18 @@ checked against it.
 read_csv_reference and the five *_reference loaders are the row-wise
 csv.reader loaders that the columnar reader (cds._read_csv on
 numpy.loadtxt) replaced; the loaders are checked against them.
+
+The package holds signals and prices as per-name columns (cds.Signals,
+(dates, prices) arrays). The references keep the rows they were written
+for, one SignalRecord per window and one (dt.date, float) tuple per
+price; as_rows turns the columns into those rows.
 """
 
 import csv
 import datetime as dt
+import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -41,7 +48,7 @@ from scipy.sparse.linalg import splu
 from scipy.special import expit
 from scipy.stats import norm
 
-from tanhdrift.cds import SignalRecord, SpreadSeries
+from tanhdrift.cds import Signals, SpreadSeries
 from tanhdrift.errors import (
     DataError,
     EmptyResult,
@@ -55,11 +62,48 @@ from tanhdrift.model import Direction, ModelParams, _log_cosh, density_profile, 
 from tanhdrift.portfolio import (
     BacktestReport,
     PortfolioSnapshot,
-    PriceSeries,
     RebalanceSchedule,
     UniverseSnapshot,
     rank_deciles,
 )
+
+
+PriceSeries = list[tuple[dt.date, float]]
+
+
+@dataclass(frozen=True)
+class SignalRecord:
+    """Extracted signal for one name over one window."""
+
+    name: str
+    window_start: dt.date
+    window_end: dt.date
+    nu_hat: float
+    a_tilde: float
+    r_squared: float
+    n_obs: int
+    slope_stderr: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.nu_hat) and math.isfinite(self.a_tilde)):
+            raise ValidationError(f"nu_hat, a_tilde must be finite: {self.nu_hat}, {self.a_tilde}")
+        if not (0.0 <= self.r_squared <= 1.0 or math.isnan(self.r_squared)):
+            raise ValidationError(f"r_squared out of [0, 1]: {self.r_squared}")
+
+
+def as_rows(value):
+    """The references' rows of per-name columns: a Signals table becomes
+    its SignalRecords, a (dates, prices) pair its (dt.date, float)
+    tuples, and a dict of either the same dict of rows."""
+    if isinstance(value, dict):
+        return {key: as_rows(v) for key, v in value.items()}
+    if isinstance(value, Signals):
+        columns = (value.window_start, value.window_end, value.nu_hat, value.a_tilde,
+                   value.r_squared, value.n_obs, value.slope_stderr)
+        return list(map(SignalRecord, itertools.repeat(value.name),
+                        *(c.tolist() for c in columns)))
+    dates, prices = value
+    return list(zip(dates.tolist(), prices.tolist()))
 
 
 def mixture_weights(nu: float, x0: float, x_star: float) -> tuple[float, float]:
@@ -460,6 +504,18 @@ def solve_fp_reference(
     values = np.zeros(grid.n_x, dtype=float)
     values[1:-1] = u
     return DensityField(grid=grid, values=values, time=horizon)
+
+
+def trading_dates_reference(start: dt.date, n: int) -> list[dt.date]:
+    """n consecutive weekdays starting at the first weekday >= start: the
+    day-by-day walk that universe.trading_dates replaced."""
+    out: list[dt.date] = []
+    d = start
+    while len(out) < n:
+        if d.weekday() < 5:
+            out.append(d)
+        d += dt.timedelta(days=1)
+    return out
 
 
 # Row-wise CSV loaders: csv.reader and one parse call per row, kept

@@ -12,7 +12,7 @@ from scipy.stats import norm
 
 import tanhdrift as td
 from tanhdrift import fokker_planck as fp
-from tanhdrift.cds import extract_nu, load_spread_series, rolling_extract
+from tanhdrift.cds import load_spread_series, rolling_extract
 from tanhdrift.cli import EXIT_OK, main
 from tanhdrift.mc import SimConfig, mc_transition_prob
 from tanhdrift.portfolio import RebalanceSchedule, backtest, signal_quality
@@ -177,12 +177,12 @@ def test_criterion_06_boundary_symmetry():
 def test_criterion_07_regression_identifiability():
     series = test_cds._line_series(21, a_tilde=3.0, nu=0.8)
     first, last = series.dates[0], series.dates[-1]
-    rec = extract_nu(series, first, last)
+    rec = test_cds._fit(series, first, last)
     ok = abs(rec.nu_hat - 0.8) < 1e-10 and abs(rec.a_tilde - 3.0) < 1e-10
     worst_nu, worst_a = 0.0, 0.0
     for c in (7.0, 1e-3, 2.5e4):
         scaled = test_cds._series(series.price, series.spread * c)
-        rec_c = extract_nu(scaled, first, last)
+        rec_c = test_cds._fit(scaled, first, last)
         worst_nu = max(worst_nu, abs(rec_c.nu_hat - rec.nu_hat))
         worst_a = max(worst_a, abs((rec_c.a_tilde - rec.a_tilde) - math.log(c)))
     # "bit-stable": stable to machine precision under spread rescaling
@@ -213,7 +213,7 @@ def test_criterion_08_small_p_bias_ladder(tmp_path):
         per_name = []
         for name, _pf, sf in load_manifest(out / "manifest.csv"):
             recs = rolling_extract(load_spread_series(sf, name=name), 21, 21)
-            nu_hat = float(np.median([r.nu_hat for r in recs]))
+            nu_hat = float(np.median(recs.nu_hat))
             per_name.append(abs(nu_hat - truth[name]))
         biases[ratio] = (float(np.mean(per_name)), float(np.max(per_name)))
     means = [biases[r][0] for r in (1.5, 3.0, 10.0)]
@@ -238,7 +238,7 @@ def test_criterion_09_end_to_end_pipeline(tmp_path):
             for name, _pf, sf in rows
         }
         truth = load_truth(out / "truth.csv")
-        extracted = {n: float(np.median([r.nu_hat for r in recs])) for n, recs in signals.items()}
+        extracted = {n: float(np.median(table.nu_hat)) for n, table in signals.items()}
         rho = signal_quality(truth, extracted)
         prices = {name: load_price_series(pf) for name, pf, _sf in rows}
         report = backtest(prices, signals, RebalanceSchedule(every=21))
@@ -292,12 +292,10 @@ def test_criterion_10_portfolio_invariants(tmp_path):
     signals = load_signals_csv(sig)
     base = backtest(prices, signals, RebalanceSchedule(every=21))
     first_held = next(s for s in base.rebalances if s.weights)
-    perturbed = {n: list(series) for n, series in prices.items()}
+    perturbed = dict(prices)
     name0 = rows[0][0]
-    bumped = [
-        (d, p * 5.0 if d > first_held.date else p) for d, p in perturbed[name0]
-    ]
-    perturbed[name0] = bumped
+    days0, prices0 = prices[name0]
+    perturbed[name0] = (days0, np.where(days0 > np.datetime64(first_held.date), 5.0, 1.0) * prices0)
     moved = backtest(perturbed, signals, RebalanceSchedule(every=21))
     matching = next(s for s in moved.rebalances if s.date == first_held.date)
     lookahead_ok = matching.weights == first_held.weights

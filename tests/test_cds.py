@@ -14,7 +14,7 @@ from scipy.stats import linregress
 
 import tanhdrift as td
 from tanhdrift.cds import (
-    SignalRecord,
+    Signals,
     SpreadModelConfig,
     SpreadSeries,
     extract_nu,
@@ -27,6 +27,7 @@ from tanhdrift.cds import (
 )
 from tanhdrift.universe import load_manifest, load_price_series, load_truth
 
+import oracles
 from oracles import exact_log_default_prob, ols_fit
 
 
@@ -36,6 +37,12 @@ def _dates(n, start=dt.date(2021, 1, 4)):
 
 def _series(prices, spreads, name="X"):
     return SpreadSeries(name, _dates(len(prices)), prices, spreads)
+
+
+def _fit(series, window_start, window_end, **kwargs):
+    """extract_nu's one row, as a record."""
+    (rec,) = oracles.as_rows(extract_nu(series, window_start, window_end, **kwargs))
+    return rec
 
 
 def _line_series(n, a_tilde, nu, lo=100.0, hi=140.0, name="X"):
@@ -79,12 +86,35 @@ def test_series_rejects_mismatched_lengths():
 
 def test_series_holds_read_only_copies():
     prices = np.array([10.0, 11.0])
-    series = SpreadSeries("X", _dates(2), prices, [5.0, 6.0])
+    days = np.array(_dates(2), dtype="M8[D]")
+    series = SpreadSeries("X", days, prices, [5.0, 6.0])
     prices[0] = 99.0
+    days[0] = days[1]
     assert series.price[0] == 10.0
+    assert series.dates.tolist() == _dates(2)
     assert len(series) == 2
     with pytest.raises(ValueError):
         series.price[1] = 1.0
+    with pytest.raises(ValueError):
+        series.dates[1] = days[0]
+
+
+def test_signals_checks_every_row_and_holds_read_only_copies():
+    d = _dates(3)
+    nu = np.array([0.5, 1.0, 1.5])
+    table = Signals("X", d, d, nu, [3.0] * 3, [0.9, math.nan, 1.0], [21] * 3, [0.1] * 3)
+    nu[0] = 9.0
+    assert len(table) == 3 and table.nu_hat[0] == 0.5
+    assert table.window_end.dtype == np.dtype("M8[D]") and table.n_obs.dtype == np.int64
+    with pytest.raises(ValueError):
+        table.a_tilde[0] = 1.0
+    with pytest.raises(td.ValidationError, match=r"^nu_hat, a_tilde must be finite: 1\.0, inf$"):
+        Signals("X", d, d, [0.5, 1.0, 1.5], [3.0, math.inf, -math.inf], [1.0] * 3, [21] * 3,
+                [0.1] * 3)
+    with pytest.raises(td.ValidationError, match=r"^r_squared out of \[0, 1\]: -0\.1$"):
+        Signals("X", d, d, [0.5] * 3, [3.0] * 3, [1.0, -0.1, 1.5], [21] * 3, [0.1] * 3)
+    with pytest.raises(td.ValidationError, match="shape"):
+        Signals("X", d, d[:2], [0.5] * 3, [3.0] * 3, [1.0] * 3, [21] * 3, [0.1] * 3)
 
 
 def test_spread_config_normalization():
@@ -138,7 +168,7 @@ def test_synth_spread_rejects_distressed_start():
 
 def test_exact_line_recovered():
     series = _line_series(21, a_tilde=3.0, nu=0.8)
-    rec = extract_nu(series, series.dates[0], series.dates[-1])
+    rec = _fit(series, series.dates[0], series.dates[-1])
     assert rec.nu_hat == pytest.approx(0.8, abs=1e-10)
     assert rec.a_tilde == pytest.approx(3.0, abs=1e-10)
     assert rec.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -155,7 +185,7 @@ def test_extraction_matches_independent_ols():
     prices = np.exp(np.linspace(math.log(140.0), math.log(160.0), 21))
     spreads = [synth_spread(params, cfg, float(s)) for s in prices]
     series = _series(prices, spreads)
-    rec = extract_nu(series, series.dates[0], series.dates[-1])
+    rec = _fit(series, series.dates[0], series.dates[-1])
     intercept, slope = ols_fit(np.log(prices), math.log(cfg.b) + exact_log_default_prob(1.0, 100.0, prices))
     assert rec.nu_hat == pytest.approx(-slope / 2.0, abs=1e-10)
     assert rec.a_tilde == pytest.approx(intercept, abs=1e-8)
@@ -167,9 +197,9 @@ def test_scale_invariance_of_slope():
     cfg = SpreadModelConfig()
     prices = np.exp(np.linspace(math.log(300.0), math.log(400.0), 30))
     spreads = np.array([synth_spread(params, cfg, float(s)) for s in prices])
-    base = extract_nu(_series(prices, spreads), _dates(1)[0], _dates(30)[-1])
+    base = _fit(_series(prices, spreads), _dates(1)[0], _dates(30)[-1])
     for c in (7.0, 0.001, 3.7e5):
-        scaled = extract_nu(_series(prices, c * spreads), _dates(1)[0], _dates(30)[-1])
+        scaled = _fit(_series(prices, c * spreads), _dates(1)[0], _dates(30)[-1])
         assert scaled.nu_hat == pytest.approx(base.nu_hat, abs=1e-12)
         assert scaled.a_tilde - base.a_tilde == pytest.approx(math.log(c), abs=1e-10)
         assert scaled.r_squared == pytest.approx(base.r_squared, abs=1e-12)
@@ -179,23 +209,23 @@ def test_degenerate_prices_rejected():
     prices = np.full(21, 120.0)
     spreads = np.linspace(40, 50, 21)
     with pytest.raises(td.DegeneratePrices):
-        extract_nu(_series(prices, spreads), _dates(1)[0], _dates(21)[-1])
+        _fit(_series(prices, spreads), _dates(1)[0], _dates(21)[-1])
 
 
 def test_insufficient_data_rejected():
     series = _line_series(10, a_tilde=3.0, nu=0.8)
     with pytest.raises(td.InsufficientData):
-        extract_nu(series, series.dates[0], series.dates[-1])
+        _fit(series, series.dates[0], series.dates[-1])
     # a narrower window over a long series trips the same check
     long_series = _line_series(40, a_tilde=3.0, nu=0.8)
     with pytest.raises(td.InsufficientData):
-        extract_nu(long_series, _dates(40)[0], _dates(40)[5])
+        _fit(long_series, _dates(40)[0], _dates(40)[5])
 
 
 def test_constant_spreads_fit_zero_slope():
     prices = np.exp(np.linspace(math.log(100), math.log(130), 21))
     spreads = np.full(21, 55.0)
-    rec = extract_nu(_series(prices, spreads), _dates(1)[0], _dates(21)[-1])
+    rec = _fit(_series(prices, spreads), _dates(1)[0], _dates(21)[-1])
     assert rec.nu_hat == 0.0
     assert rec.r_squared == 1.0
 
@@ -209,7 +239,7 @@ def test_small_p_bias_shrinks_with_price_ratio():
     for ratio in (1.5, 3.0, 10.0):
         prices = np.exp(np.linspace(math.log(95.0 * ratio), math.log(105.0 * ratio), 21))
         spreads = [synth_spread(params, cfg, float(s)) for s in prices]
-        rec = extract_nu(_series(prices, spreads), _dates(1)[0], _dates(21)[-1])
+        rec = _fit(_series(prices, spreads), _dates(1)[0], _dates(21)[-1])
         biases.append(abs(rec.nu_hat - nu_true))
     assert biases[0] > biases[1] > biases[2]
     assert biases[2] < 0.01
@@ -221,7 +251,7 @@ def test_intercept_relation_on_linearized_data():
     cfg = SpreadModelConfig(recovery_rate=0.4, maturity=5.0)
     a_tilde = 2.0 * nu_true * math.log(s_star) + math.log(cfg.b)
     series = _line_series(25, a_tilde=a_tilde, nu=nu_true, lo=400.0, hi=520.0)
-    rec = extract_nu(series, series.dates[0], series.dates[-1])
+    rec = _fit(series, series.dates[0], series.dates[-1])
     assert rec.a_tilde == pytest.approx(a_tilde, abs=1e-8)
     assert rec.nu_hat == pytest.approx(nu_true, abs=1e-10)
     assert implied_s_star(rec.nu_hat, rec.a_tilde, cfg) == pytest.approx(s_star, rel=1e-8)
@@ -243,10 +273,8 @@ def test_rolling_window_count():
     series = _line_series(42, a_tilde=3.0, nu=0.8)
     records = rolling_extract(series, window_len=21, stride=21)
     assert len(records) == 2
-    assert records[0].window_start == series.dates[0]
-    assert records[0].window_end == series.dates[20]
-    assert records[1].window_start == series.dates[21]
-    assert records[1].window_end == series.dates[41]
+    assert records.window_start.tolist() == [series.dates[0], series.dates[21]]
+    assert records.window_end.tolist() == [series.dates[20], series.dates[41]]
 
 
 def test_rolling_piecewise_regimes():
@@ -259,8 +287,8 @@ def test_rolling_piecewise_regimes():
         synth_spread(params_b, cfg, float(s)) for s in prices[21:]
     ]
     records = rolling_extract(_series(prices, spreads), window_len=21, stride=21)
-    assert records[0].nu_hat == pytest.approx(0.5, abs=0.02)
-    assert records[-1].nu_hat == pytest.approx(1.5, abs=0.02)
+    assert records.nu_hat[0] == pytest.approx(0.5, abs=0.02)
+    assert records.nu_hat[-1] == pytest.approx(1.5, abs=0.02)
 
 
 def test_rolling_all_degenerate_is_empty():
@@ -276,7 +304,7 @@ def test_rolling_skips_bad_windows(caplog):
     with caplog.at_level(logging.WARNING, logger="tanhdrift.cds"):
         records = rolling_extract(_series(prices, spreads), window_len=21, stride=21)
     assert len(records) == 1
-    assert records[0].nu_hat == pytest.approx(0.5, abs=1e-10)
+    assert records.nu_hat[0] == pytest.approx(0.5, abs=1e-10)
     # one line for the name, with the count and the reason
     assert len(caplog.records) == 1
     assert "2 of 3 windows skipped" in caplog.records[0].getMessage()
@@ -312,7 +340,7 @@ def test_rolling_one_observation_windows_are_skipped(caplog):
             with pytest.raises(td.EmptyResult):
                 rolling_extract(series, window_len=1, stride=2, min_window=1)
         with pytest.raises(td.DegeneratePrices):
-            extract_nu(series, series.dates[2], series.dates[2], min_window=1)
+            _fit(series, series.dates[2], series.dates[2], min_window=1)
     assert len(caplog.records) == 1
     assert "3 of 3 windows skipped" in caplog.records[0].getMessage()
 
@@ -320,12 +348,11 @@ def test_rolling_one_observation_windows_are_skipped(caplog):
 def test_rolling_two_observation_windows_are_exact_lines():
     series = _line_series(6, a_tilde=3.0, nu=0.8)
     records = rolling_extract(series, window_len=2, stride=3, min_window=2)
-    assert [r.window_end for r in records] == [series.dates[1], series.dates[4]]
-    for r in records:
-        assert r.nu_hat == pytest.approx(0.8, rel=1e-10)
-        assert r.a_tilde == pytest.approx(3.0, rel=1e-10)
-        assert r.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert r.slope_stderr == 0.0
+    assert records.window_end.tolist() == [series.dates[1], series.dates[4]]
+    assert records.nu_hat == pytest.approx([0.8] * 2, rel=1e-10)
+    assert records.a_tilde == pytest.approx([3.0] * 2, rel=1e-10)
+    assert records.r_squared == pytest.approx([1.0] * 2, abs=1e-12)
+    assert records.slope_stderr.tolist() == [0.0, 0.0]
 
 
 def test_extract_nu_window_selection_by_date():
@@ -333,18 +360,18 @@ def test_extract_nu_window_selection_by_date():
     # observations every other day
     d = [dt.date(2021, 1, 4) + dt.timedelta(days=2 * i) for i in range(40)]
     series = SpreadSeries("X", d, line.price, line.spread)
-    rec = extract_nu(series, d[5], d[24])
+    rec = _fit(series, d[5], d[24])
     assert (rec.window_start, rec.window_end, rec.n_obs) == (d[5], d[24], 20)
     # bounds between observation dates select the observations inside
     one = dt.timedelta(days=1)
-    rec = extract_nu(series, d[5] - one, d[24] + one)
+    rec = _fit(series, d[5] - one, d[24] + one)
     assert (rec.window_start, rec.window_end, rec.n_obs) == (d[5], d[24], 20)
-    rec = extract_nu(series, d[5] + one, d[24] - one)
+    rec = _fit(series, d[5] + one, d[24] - one)
     assert (rec.window_start, rec.window_end, rec.n_obs) == (d[6], d[23], 18)
     with pytest.raises(td.InsufficientData):
-        extract_nu(series, d[10], d[5], min_window=0)
+        _fit(series, d[10], d[5], min_window=0)
     with pytest.raises(td.InsufficientData):
-        extract_nu(series, d[-1] + dt.timedelta(days=1), d[-1] + dt.timedelta(days=9), min_window=0)
+        _fit(series, d[-1] + dt.timedelta(days=1), d[-1] + dt.timedelta(days=9), min_window=0)
 
 
 # Prices and spreads from small sets give repeated values, constant-price
@@ -379,7 +406,7 @@ def test_rolling_every_window_matches_per_window_ols(case):
     records = rolling_extract(series, window_len, stride, min_window)
     assert len(records) == len(expected)
     close = dict(rel=1e-12, abs=1e-12)
-    for rec, (i, x, y) in zip(records, expected):
+    for rec, (i, x, y) in zip(oracles.as_rows(records), expected):
         assert (rec.window_start, rec.window_end) == (series.dates[i], series.dates[i + window_len - 1])
         assert rec.n_obs == window_len
         if np.ptp(y) == 0.0:
@@ -404,11 +431,11 @@ def test_spread_series_csv_roundtrip(tmp_path):
     path = tmp_path / "ACME.csv"
     with open(path, "w") as fh:
         fh.write("date,price,spread_bps\n")
-        for d, p, z in zip(series.dates, series.price.tolist(), series.spread.tolist()):
+        for d, p, z in zip(series.dates.tolist(), series.price.tolist(), series.spread.tolist()):
             fh.write(f"{d.isoformat()},{p!r},{z!r}\n")
     loaded = load_spread_series(path)
     assert loaded.name == "ACME"
-    assert loaded.dates == series.dates
+    assert np.array_equal(loaded.dates, series.dates)
     assert np.array_equal(loaded.price, series.price)
     assert np.array_equal(loaded.spread, series.spread)
 
@@ -431,20 +458,28 @@ def test_spread_series_bad_row(tmp_path):
 
 
 def test_signals_csv_roundtrip(tmp_path):
-    recs = [
-        SignalRecord("A", dt.date(2021, 1, 4), dt.date(2021, 2, 1), 1.25, 7.5, 0.99, 21, 0.01),
-        SignalRecord("A", dt.date(2021, 2, 2), dt.date(2021, 3, 1), 1.30, 7.6, 0.98, 21, 0.02),
-        SignalRecord("B", dt.date(2021, 1, 4), dt.date(2021, 2, 1), 0.75, 6.5, 0.97, 21, 0.03),
+    tables = [
+        Signals("A", [dt.date(2021, 1, 4), dt.date(2021, 2, 2)],
+                [dt.date(2021, 2, 1), dt.date(2021, 3, 1)], [1.25, 1.30], [7.5, 7.6],
+                [0.99, 0.98], [21, 21], [0.01, 0.02]),
+        Signals("B", [dt.date(2021, 1, 4)], [dt.date(2021, 2, 1)], [0.75], [6.5], [0.97], [21],
+                [0.03]),
     ]
     path = tmp_path / "signals.csv"
-    write_signals_csv(recs, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs"
+    write_signals_csv(tables, path)
+    assert path.read_text().splitlines() == [
+        "name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs",
+        "A,2021-01-04,2021-02-01,1.25,7.5,0.99,21",
+        "A,2021-02-02,2021-03-01,1.3,7.6,0.98,21",
+        "B,2021-01-04,2021-02-01,0.75,6.5,0.97,21",
+    ]
     loaded = load_signals_csv(path)
-    assert set(loaded) == {"A", "B"}
-    assert len(loaded["A"]) == 2
-    assert loaded["A"][0].nu_hat == 1.25
-    assert loaded["B"][0].window_end == dt.date(2021, 2, 1)
+    assert list(loaded) == ["A", "B"]
+    for table in tables:
+        got = loaded[table.name]
+        for column in ("window_start", "window_end", "nu_hat", "a_tilde", "r_squared", "n_obs"):
+            assert np.array_equal(getattr(got, column), getattr(table, column))
+        assert np.isnan(got.slope_stderr).all()
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +494,8 @@ _LOADERS = {
                 td.EmptyResult),
     "manifest": (load_manifest, "name,price_file,spread_file", "A,prices/A.csv,spreads/A.csv",
                  None, list),
-    "prices": (load_price_series, "date,price", "2021-01-04,10.0", "2021-13-04,10.0", td.DataError),
+    "prices": (lambda path: oracles.as_rows(load_price_series(path)), "date,price",
+               "2021-01-04,10.0", "2021-13-04,10.0", td.DataError),
     "truth": (load_truth, "name,nu,sigma,s_star,s0", "A,1.5,0.2,50.0,400.0",
               "A,nu,0.2,50.0,400.0", td.DataError),
 }

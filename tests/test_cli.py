@@ -1,5 +1,6 @@
 """Command-line front end: wiring, exit codes, reproducibility."""
 
+import datetime as dt
 import json
 import math
 import os
@@ -10,12 +11,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tanhdrift as td
 from tanhdrift.cli import COMMANDS, EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from tanhdrift.cds import load_signals_csv, load_spread_series, rolling_extract
 from tanhdrift.mc import SimConfig, simulate
-from tanhdrift.universe import UniverseSpec, generate_universe, load_manifest, load_truth
+from tanhdrift.universe import (
+    UniverseSpec,
+    generate_universe,
+    load_manifest,
+    load_truth,
+    trading_dates,
+)
+
+from oracles import trading_dates_reference
 
 
 def _run(*args) -> int:
@@ -260,6 +271,26 @@ def test_synth_universe_spreads_recomputable_from_truth(tmp_path):
                 assert float(spread) == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dates(dt.date(1900, 1, 1), dt.date(2100, 12, 31)), st.integers(0, 600))
+def test_trading_dates_match_weekday_walk(start, n):
+    days = trading_dates(start, n)
+    assert days.dtype == np.dtype("M8[D]")
+    assert days.tolist() == trading_dates_reference(start, n)
+
+
+def test_synth_universe_rejects_dates_past_year_9999(tmp_path, capsys):
+    # ISO dates past 9999-12-31 have five-digit years, which no loader reads
+    code = _run("synth-universe", "--n-names", 3, "--days", 60, "--seed", 1,
+                "--start-date", "9999-12-01", "--out-dir", tmp_path / "u")
+    assert code == EXIT_VALIDATION
+    assert "60 days from 9999-12-01 end after year 9999" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
+    assert trading_dates(dt.date(9999, 12, 1), 22)[-1] == np.datetime64("9999-12-30")
+    assert _run("synth-universe", "--n-names", 3, "--days", 22, "--seed", 1,
+                "--start-date", "9999-12-01", "--out-dir", tmp_path / "v") == EXIT_OK
+
+
 def test_synth_universe_two_days(tmp_path):
     # SimConfig needs dt < horizon: two days still simulate and write two rows
     assert _run("synth-universe", "--n-names", 3, "--days", 2, "--seed", 4,
@@ -302,9 +333,8 @@ def test_extract_noiseless_recovers_truth_wide_ratio(tmp_path):
     assert _run("extract", "--manifest", out / "manifest.csv", "--window", 21,
                 "--stride", 21, "--out", sig) == EXIT_OK
     truth = load_truth(out / "truth.csv")
-    for name, records in load_signals_csv(sig).items():
-        for rec in records:
-            assert rec.nu_hat == pytest.approx(truth[name], abs=1e-6)
+    for name, table in load_signals_csv(sig).items():
+        assert table.nu_hat == pytest.approx([truth[name]] * len(table), abs=1e-6)
 
 
 def test_noise_widens_stderr_and_truth_stays_in_ci(tmp_path):
@@ -319,10 +349,10 @@ def test_noise_widens_stderr_and_truth_stays_in_ci(tmp_path):
         truth = load_truth(out / "truth.csv")
         ses, errors = [], []
         for name, _pf, sf in load_manifest(out / "manifest.csv"):
-            for rec in rolling_extract(load_spread_series(sf, name=name), 21, 21):
-                ses.append(rec.slope_stderr / 2.0)  # nu_hat = -slope/2
-                errors.append(rec.nu_hat - truth[name])
-        return np.array(ses), np.array(errors)
+            table = rolling_extract(load_spread_series(sf, name=name), 21, 21)
+            ses.append(table.slope_stderr / 2.0)  # nu_hat = -slope/2
+            errors.append(table.nu_hat - truth[name])
+        return np.concatenate(ses), np.concatenate(errors)
 
     se_clean, _ = stderrs("clean", 0.0)
     se_noisy, err_noisy = stderrs("noisy", 0.1)
@@ -360,6 +390,47 @@ def test_extract_isolates_corrupt_names(tmp_path, capsys):
     assert "N000: spread must be finite > 0, got inf" in captured.err
     names = set(load_signals_csv(sig))
     assert names == {"N001", "N003"}
+
+
+def _edit_manifest(out, edit):
+    manifest = out / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    edit(lines)
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def test_extract_rejects_a_name_with_a_comma(tmp_path, capsys):
+    # signals.csv writes names unquoted, so backtest could not read this
+    # one back; extract must refuse it at its manifest line
+    out = tmp_path / "u"
+    assert _run("synth-universe", "--n-names", 3, "--days", 42, "--seed", 3,
+                "--out-dir", out) == EXIT_OK
+
+    def rename(lines):
+        lines[2] = '"N,000"' + lines[2][len("N001"):]
+
+    manifest = _edit_manifest(out, rename)
+    sig = tmp_path / "signals.csv"
+    assert _run("extract", "--manifest", manifest, "--out", sig) == EXIT_DATA
+    assert "manifest.csv:3: name 'N,000' holds a comma" in capsys.readouterr().err
+    assert not sig.exists()
+
+
+def test_extract_and_backtest_reject_a_repeated_name(tmp_path, capsys):
+    # a name listed twice would write each of its windows twice and price
+    # it from the last of its files
+    out = tmp_path / "u"
+    assert _run("synth-universe", "--n-names", 3, "--days", 42, "--seed", 3,
+                "--out-dir", out) == EXIT_OK
+    sig = tmp_path / "signals.csv"
+    assert _run("extract", "--manifest", out / "manifest.csv", "--out", sig) == EXIT_OK
+    manifest = _edit_manifest(out, lambda lines: lines.insert(3, lines[2]))
+    assert _run("extract", "--manifest", manifest, "--out", tmp_path / "again.csv") == EXIT_DATA
+    assert _run("backtest", "--manifest", manifest, "--signals", sig,
+                "--out-dir", tmp_path / "bt") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("manifest.csv:4: name 'N001' repeats an earlier row") == 2
 
 
 # ---------------------------------------------------------------------------

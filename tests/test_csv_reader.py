@@ -5,9 +5,10 @@ generated files: quoted fields holding commas, quotes and line breaks,
 blank lines, mixed LF / CRLF / CR line endings, no final newline, and a
 wrong field count, a bad value, an oversize field or an undecodable
 byte at a random line. Both must return equal values (floats bit for
-bit) or raise the same exception type with the same message. The one
-intended difference, numpy's stricter float syntax, is tested on its
-own below.
+bit; per-name columns through oracles.as_rows) or raise the same
+exception type with the same message. The intended differences, numpy's
+stricter float syntax and the manifest's name rule, are tested on their
+own below, and so is the date syntax, which must not differ.
 """
 
 import csv
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tanhdrift as td
-from tanhdrift.cds import SignalRecord, SpreadSeries, load_signals_csv, load_spread_series
+from tanhdrift.cds import SpreadSeries, load_signals_csv, load_spread_series
 from tanhdrift.universe import load_manifest, load_price_series, load_truth
 
 import oracles
@@ -30,13 +31,14 @@ import oracles
 _KINDS = {
     "spread": (load_spread_series, oracles.load_spread_series_reference,
                "date,price,spread_bps", ("date", "mostly positive", "mostly positive")),
-    "prices": (load_price_series, oracles.load_price_series_reference,
-               "date,price", ("date", "price")),
-    "signals": (load_signals_csv, oracles.load_signals_csv_reference,
+    "prices": (lambda path: oracles.as_rows(load_price_series(path)),
+               oracles.load_price_series_reference, "date,price", ("date", "price")),
+    "signals": (lambda path: oracles.as_rows(load_signals_csv(path)),
+                oracles.load_signals_csv_reference,
                 "name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs",
                 ("str", "date", "date", "float", "float", "unit", "int")),
     "manifest": (load_manifest, oracles.load_manifest_reference,
-                 "name,price_file,spread_file", ("str", "str", "str")),
+                 "name,price_file,spread_file", ("name", "str", "str")),
     "truth": (load_truth, oracles.load_truth_reference,
               "name,nu,sigma,s_star,s0", ("str", "float", "str", "str", "str")),
 }
@@ -72,7 +74,12 @@ def _field(draw, kind, i):
         return repr(x)
     if kind == "int":
         return draw(st.sampled_from(["", " ", "+"])) + str(draw(st.integers(2, 400)))
+    if kind == "name":  # one the manifest's name rule admits, unique by its row
+        return draw(_TEXT).translate(_NOT_IN_NAMES) + f"#{i}"
     return draw(_TEXT)
+
+
+_NOT_IN_NAMES = str.maketrans(dict.fromkeys(',"\r\n', "_"))
 
 
 def _quote(text):
@@ -131,8 +138,8 @@ def _bits(value):
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.tobytes()
     if isinstance(value, SpreadSeries):
-        return value.name, value.dates, _bits(value.price), _bits(value.spread)
-    if isinstance(value, SignalRecord):
+        return value.name, _bits(value.dates), _bits(value.price), _bits(value.spread)
+    if isinstance(value, oracles.SignalRecord):
         return tuple(_bits(getattr(value, f)) for f in value.__dataclass_fields__)
     if isinstance(value, dict):
         return {k: _bits(v) for k, v in value.items()}
@@ -212,3 +219,43 @@ def test_signals_bad_record_after_blank_and_quoted_lines(tmp_path):
                     'C,2021-01-04,2021-02-01,1.25,7.5,1.5,21\n')
     with pytest.raises(td.DataError, match=r"s\.csv:5: r_squared out of \[0, 1\]: 1\.5"):
         load_signals_csv(path)
+
+
+@pytest.mark.parametrize("text, accepted", [
+    ("20200102", True), ("2020-W01-4", True), (" 2020-01-02", False), ("2020-01", False),
+    ("NaT", False), ("2020-01-02T00", False), ("+2020-01-02", False),
+])
+@pytest.mark.parametrize("kind, column", [("spread", 0), ("prices", 0), ("signals", 1),
+                                          ("signals", 2)])
+def test_date_syntax_is_fromisoformat(tmp_path, kind, column, text, accepted):
+    # Dates are read by dt.date.fromisoformat, as the row-wise loaders read
+    # them. numpy's date parser would read 20200102 as the year 20200102
+    # and accept each of the rejected texts.
+    load, reference, header, types = _KINDS[kind]
+    row = [{"date": "2019-12-30", "str": "A", "int": "21"}.get(t, "0.5") for t in types]
+    probe = list(row)
+    probe[column] = text
+    path = tmp_path / "f.csv"
+    path.write_text(f"{header}\n{','.join(row)}\n\n{','.join(_quote(f) for f in probe)}\n")
+    got = _outcome(load, path)
+    assert got == _outcome(reference, path)
+    if accepted:
+        assert got[0] == "ok"
+    else:
+        assert issubclass(got[0], td.DataError)
+        assert f"f.csv:4: Invalid isoformat string: {text!r}" in got[1]
+
+
+@pytest.mark.parametrize("name", ["N,000", 'N"0', "N\r0", "N\n0", "N\r\n0", "N001"])
+def test_manifest_rejects_names_the_writers_cannot_round_trip(tmp_path, name):
+    # signals.csv and the weight files write names unquoted, so a name with
+    # a comma, quote or line break, or one listed twice, would not read back
+    # as itself; the row-wise loader took them, the manifest loader rejects
+    # them at their line (a quoted line break moves it on).
+    path = tmp_path / "manifest.csv"
+    path.write_text("name,price_file,spread_file\nN001,p/1.csv,s/1.csv\n\n"
+                    f"{_quote(name)},p/2.csv,s/2.csv\nN002,p/3.csv,s/3.csv\n", newline="")
+    assert len(oracles.load_manifest_reference(path)) == 3
+    line = 4 + len(name.splitlines()) - 1
+    with pytest.raises(td.DataError, match=rf"manifest\.csv:{line}: name .* (holds|repeats)"):
+        load_manifest(path)

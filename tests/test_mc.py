@@ -9,10 +9,8 @@ from scipy.stats import chi2, norm
 import tanhdrift as td
 from tanhdrift.mc import (
     MCEstimate,
-    PathEnsemble,
     SimConfig,
     _step_normals,
-    mc_density_histogram,
     mc_transition_prob,
     simulate,
     terminal_values,
@@ -187,27 +185,13 @@ def test_transition_prob_long_horizon_matches_asymptote():
     assert est.value == pytest.approx(quad_value, abs=3 * est.std_error + 0.005)
 
 
-def test_histogram_single_path_single_bin():
-    p = td.ModelParams(nu=0.0, sigma=0.0, x_star=0.0)
-    cfg = SimConfig(n_paths=1, dt=0.5, horizon=1.0, seed=1, x0=0.3)
-    ens = simulate(p, cfg)
-    hist = mc_density_histogram(ens, bins=1, bin_range=(0.0, 2.0))
-    assert hist.density[0] == pytest.approx(0.5, rel=1e-12)  # 1 / width
-    assert hist.n_samples == 1
-
-
 def test_histogram_gaussian_case():
     p = td.ModelParams(nu=0.0, sigma=1.0, x_star=0.0)
     cfg = SimConfig(n_paths=1_000_000, dt=0.25, horizon=1.0, seed=31, x0=0.0)
-    ens = PathEnsemble(
-        times=np.array([0.0, 1.0]),
-        paths=np.column_stack([np.zeros(cfg.n_paths), terminal_values(p, cfg)]),
-        params=p,
-        seed=cfg.seed,
-    )
-    hist = mc_density_histogram(ens, bins=100, bin_range=(-5.0, 5.0))
-    centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-    assert float(np.max(np.abs(hist.density - norm.pdf(centers)))) < 0.01
+    density, edges = np.histogram(terminal_values(p, cfg), bins=100, range=(-5.0, 5.0),
+                                  density=True)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    assert float(np.max(np.abs(density - norm.pdf(centers)))) < 0.01
 
 
 def test_histogram_chi_squared_against_closed_form():
@@ -229,18 +213,6 @@ def test_histogram_chi_squared_against_closed_form():
     stat = float(np.sum((o - e) ** 2 / e))
     dof = len(e) - 1
     assert stat < chi2.ppf(0.999, dof)
-
-
-def test_histogram_validation():
-    p = td.ModelParams(nu=0.0, sigma=1.0, x_star=0.0)
-    ens = simulate(p, SimConfig(n_paths=8, dt=0.5, horizon=1.0, seed=1, x0=0.0))
-    with pytest.raises(td.ValidationError):
-        mc_density_histogram(ens, bins=np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(td.ValidationError):
-        mc_density_histogram(ens, bins=3, bin_range=(1.0, 1.0))
-    empty = PathEnsemble(times=np.array([]), paths=np.empty((0, 0)), params=p, seed=1)
-    with pytest.raises(td.ValidationError):
-        mc_density_histogram(empty)
 
 
 def test_paths_finite_and_bounded():

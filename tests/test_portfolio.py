@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import tanhdrift as td
-from oracles import backtest_reference
-from tanhdrift.cds import SignalRecord, SpreadModelConfig, SpreadSeries, rolling_extract, synth_spread
+from oracles import as_rows, backtest_reference
+from tanhdrift.cds import Signals, SpreadModelConfig, SpreadSeries, rolling_extract, synth_spread
 from tanhdrift.portfolio import (
     RebalanceSchedule,
     UniverseSnapshot,
@@ -34,22 +34,20 @@ def _days(n):
     return out
 
 
-def _signal(name, end, nu_hat, start=None):
-    return SignalRecord(
-        name=name,
-        window_start=start or (end - dt.timedelta(days=30)),
-        window_end=end,
-        nu_hat=nu_hat,
-        a_tilde=0.0,
-        r_squared=1.0,
-        n_obs=21,
-        slope_stderr=0.0,
-    )
+def _signals(name, *rows):
+    """A Signals table of (window_end, nu_hat) or (window_end, nu_hat,
+    window_start) rows; a window starts 30 days before its end unless
+    given."""
+    ends = [row[0] for row in rows]
+    starts = [row[2] if len(row) > 2 else row[0] - dt.timedelta(days=30) for row in rows]
+    n = len(rows)
+    return Signals(name, starts, ends, [row[1] for row in rows], np.zeros(n), np.ones(n),
+                   np.full(n, 21), np.zeros(n))
 
 
 def _flat_universe(n_names, n_days, price=100.0):
     days = _days(n_days)
-    return {f"N{i:02d}": [(d, price) for d in days] for i in range(n_names)}
+    return {f"N{i:02d}": (days, [price] * n_days) for i in range(n_names)}
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +109,9 @@ def test_universe_snapshot_validation():
 def test_two_sided_arithmetic_single_rebalance():
     # 10 names, k=1: weights are +-0.5; long name gains 2%, short flat
     days = _days(3)
-    prices = {f"N{i:02d}": [(d, 100.0) for d in days] for i in range(10)}
-    prices["N09"] = [(days[0], 100.0), (days[1], 102.0), (days[2], 102.0)]
-    signals = {f"N{i:02d}": [_signal(f"N{i:02d}", days[0], float(i))] for i in range(10)}
+    prices = {f"N{i:02d}": (days, [100.0] * 3) for i in range(10)}
+    prices["N09"] = (days, [100.0, 102.0, 102.0])
+    signals = {f"N{i:02d}": _signals(f"N{i:02d}", (days[0], float(i))) for i in range(10)}
     report = backtest(prices, signals, RebalanceSchedule(every=999))
     assert report.rebalances[0].weights["N09"] == 0.5
     assert report.rebalances[0].weights["N00"] == -0.5
@@ -136,7 +134,7 @@ def test_empty_signal_stream_runs_flat():
 def test_nine_name_universe_rejected():
     prices = _flat_universe(9, 30)
     days = _days(30)
-    signals = {n: [_signal(n, days[0], float(i))] for i, n in enumerate(prices)}
+    signals = {n: _signals(n, (days[0], float(i))) for i, n in enumerate(prices)}
     with pytest.raises(td.UniverseTooSmall):
         backtest(prices, signals, RebalanceSchedule(every=10))
 
@@ -144,7 +142,7 @@ def test_nine_name_universe_rejected():
 def test_no_overlap_rejected():
     prices = _flat_universe(10, 10)
     late = _days(30)[-1]
-    signals = {n: [_signal(n, late, 1.0)] for n in prices}
+    signals = {n: _signals(n, (late, 1.0)) for n in prices}
     with pytest.raises(td.NoOverlap):
         backtest(prices, signals, RebalanceSchedule(every=5))
 
@@ -154,7 +152,7 @@ def test_windows_without_variance_days_are_not_no_overlap():
     # mu_tilde has no realized variance for any name, nu ranks them fine
     days = _days(10)
     prices = _flat_universe(10, 10)
-    signals = {n: [_signal(n, days[2], float(i), start=days[2])] for i, n in enumerate(prices)}
+    signals = {n: _signals(n, (days[2], float(i), days[2])) for i, n in enumerate(prices)}
     by_nu = backtest(prices, signals, RebalanceSchedule(every=1), rank_by="nu")
     assert by_nu.rebalances[2].weights
     with pytest.raises(td.TooFewPriceDays, match="3 price days"):
@@ -163,7 +161,7 @@ def test_windows_without_variance_days_are_not_no_overlap():
 
 def test_non_finite_price_rejected():
     prices = _flat_universe(10, 5)
-    prices["N03"][2] = (prices["N03"][2][0], math.inf)
+    prices["N03"][1][2] = math.inf
     with pytest.raises(td.ValidationError, match="N03"):
         backtest(prices, {}, RebalanceSchedule(every=1))
 
@@ -173,10 +171,10 @@ def test_warmup_period_holds_nothing():
     days = _days(63)
     rng = np.random.default_rng(8)
     prices = {
-        f"N{i:02d}": [(d, 100.0 * math.exp(0.01 * rng.standard_normal())) for d in days]
+        f"N{i:02d}": (days, [100.0 * math.exp(0.01 * rng.standard_normal()) for _ in days])
         for i in range(12)
     }
-    signals = {n: [_signal(n, days[30], float(i))] for i, n in enumerate(prices)}
+    signals = {n: _signals(n, (days[30], float(i))) for i, n in enumerate(prices)}
     report = backtest(prices, signals, RebalanceSchedule(every=21))
     assert report.rebalances[0].weights == {}
     assert report.rebalances[1].weights == {}  # day 21 < day 30
@@ -189,18 +187,14 @@ def test_no_lookahead_weights_bit_identical():
     days = _days(45)
     rng = np.random.default_rng(15)
     prices = {
-        f"N{i:02d}": [
-            (d, float(p))
-            for d, p in zip(days, 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(45))))
-        ]
+        f"N{i:02d}": (days, 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(45))))
         for i in range(15)
     }
-    signals = {n: [_signal(n, days[0], float(i))] for i, n in enumerate(prices)}
+    signals = {n: _signals(n, (days[0], float(i))) for i, n in enumerate(prices)}
     base = backtest(prices, signals, RebalanceSchedule(every=21))
     # perturb a price strictly after the first rebalance
-    perturbed = {n: list(series) for n, series in prices.items()}
-    d5, p5 = perturbed["N07"][5]
-    perturbed["N07"][5] = (d5, p5 * 3.0)
+    perturbed = {n: (d, p.copy()) for n, (d, p) in prices.items()}
+    perturbed["N07"][1][5] *= 3.0
     moved = backtest(perturbed, signals, RebalanceSchedule(every=21))
     assert moved.rebalances[0].weights == base.rebalances[0].weights
     assert moved.daily_returns[:4] == base.daily_returns[:4]
@@ -208,9 +202,9 @@ def test_no_lookahead_weights_bit_identical():
 
 def test_held_name_without_price_is_dropped():
     days = _days(4)
-    prices = {f"N{i:02d}": [(d, 100.0) for d in days] for i in range(10)}
-    prices["N09"] = [(days[0], 100.0)]  # vanishes after the rebalance
-    signals = {n: [_signal(n, days[0], float(i))] for i, n in enumerate(prices)}
+    prices = {f"N{i:02d}": (days, [100.0] * 4) for i in range(10)}
+    prices["N09"] = ([days[0]], [100.0])  # vanishes after the rebalance
+    signals = {n: _signals(n, (days[0], float(i))) for i, n in enumerate(prices)}
     report = backtest(prices, signals, RebalanceSchedule(every=999))
     assert (days[1], "N09") in report.dropped
     assert report.daily_returns[0] == (days[1], 0.0)
@@ -220,14 +214,11 @@ def test_determinism_of_report():
     days = _days(40)
     rng = np.random.default_rng(4)
     prices = {
-        f"N{i:02d}": [
-            (d, float(p))
-            for d, p in zip(days, 90.0 * np.exp(np.cumsum(0.008 * rng.standard_normal(40))))
-        ]
+        f"N{i:02d}": (days, 90.0 * np.exp(np.cumsum(0.008 * rng.standard_normal(40))))
         for i in range(11)
     }
     signals = {
-        n: [_signal(n, days[10], float(i)), _signal(n, days[30], float(10 - i))]
+        n: _signals(n, (days[10], float(i)), (days[30], float(10 - i)))
         for i, n in enumerate(prices)
     }
     a = backtest(prices, signals, RebalanceSchedule(every=10))
@@ -241,7 +232,7 @@ def test_latest_signal_no_lookahead_selection():
     days = _days(50)
     prices = _flat_universe(10, 50)
     signals = {
-        n: [_signal(n, days[5], float(i)), _signal(n, days[40], float(10 - i))]
+        n: _signals(n, (days[5], float(i)), (days[40], float(10 - i)))
         for i, n in enumerate(prices)
     }
     report = backtest(prices, signals, RebalanceSchedule(every=35, start=days[5]))
@@ -257,10 +248,10 @@ def test_mu_tilde_ranking_uses_realized_vol():
     prices = {}
     for i in range(9):
         zig = [100.0 * (1.0 + 0.001 * ((-1) ** k)) for k in range(40)]
-        prices[f"N{i:02d}"] = list(zip(days, zig))
-    prices["N09"] = [(d, 100.0 * (1.0 + 0.2 * ((-1) ** k))) for k, d in enumerate(days)]
-    signals = {n: [_signal(n, days[20], 1.0 + 0.01 * i, start=days[0])] for i, n in enumerate(prices)}
-    signals["N09"] = [_signal("N09", days[20], 0.5, start=days[0])]
+        prices[f"N{i:02d}"] = (days, zig)
+    prices["N09"] = (days, [100.0 * (1.0 + 0.2 * ((-1) ** k)) for k in range(40)])
+    signals = {n: _signals(n, (days[20], 1.0 + 0.01 * i, days[0])) for i, n in enumerate(prices)}
+    signals["N09"] = _signals("N09", (days[20], 0.5, days[0]))
     by_nu = backtest(prices, signals, RebalanceSchedule(every=999, start=days[20]), rank_by="nu")
     assert by_nu.rebalances[0].weights["N09"] == -0.5  # lowest nu_hat
     by_mu = backtest(prices, signals, RebalanceSchedule(every=999, start=days[20]), rank_by="mu_tilde")
@@ -274,16 +265,16 @@ def test_rescaling_spreads_leaves_weights_identical():
     cfg = SpreadModelConfig()
     days = _days(42)
     rng = np.random.default_rng(77)
-    prices: dict[str, list[tuple[dt.date, float]]] = {}
-    base_signals: dict[str, list[SignalRecord]] = {}
-    scaled_signals: dict[str, list[SignalRecord]] = {}
+    prices: dict[str, tuple[list[dt.date], np.ndarray]] = {}
+    base_signals: dict[str, Signals] = {}
+    scaled_signals: dict[str, Signals] = {}
     for i in range(12):
         name = f"N{i:02d}"
         nu = 0.4 + 0.2 * i
         params = td.ModelParams.from_threshold_price(nu, 0.25, 20.0)
         walk = np.exp(np.cumsum(0.01 * rng.standard_normal(42)))
         level = 200.0 * walk
-        prices[name] = [(d, float(p)) for d, p in zip(days, level)]
+        prices[name] = (days, level)
         spreads = np.array([synth_spread(params, cfg, float(p)) for p in level])
         for scale, bucket in ((1.0, base_signals), (7.0, scaled_signals)):
             series = SpreadSeries(name, days, level, scale * spreads)
@@ -300,7 +291,7 @@ def test_rescaling_spreads_leaves_weights_identical():
 
 @st.composite
 def _panels(draw):
-    """Prices and signals with holes, duplicate price dates, records that
+    """Prices and signals with holes, duplicate price dates, rows that
     share (window_end, window_start), tied nu_hat, names that never get
     3 price days, names without signals, and signals without prices."""
     n_days = draw(st.sampled_from([25, 12, 40, 3]))
@@ -309,6 +300,7 @@ def _panels(draw):
     tied = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     days = _days(n_days)
+    day_array = np.array(days, dtype="M8[D]")
     prices, signals = {}, {}
     for i in range(n_names):
         name = f"N{i:02d}"
@@ -317,34 +309,43 @@ def _panels(draw):
             keep[:] = False
             keep[rng.choice(n_days, size=min(2, n_days), replace=False)] = True
         level = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal(n_days)))
-        series = [(d, float(p)) for d, p, k in zip(days, level, keep) if k]
+        d, p = day_array[keep], level[keep]
         for _ in range(int(rng.integers(0, 3))):  # duplicate price dates
-            if series:
-                d, p = series[int(rng.integers(len(series)))]
-                series.insert(int(rng.integers(len(series) + 1)), (d, p * 1.01))
+            if d.size:
+                j, at = int(rng.integers(d.size)), int(rng.integers(d.size + 1))
+                d, p = np.insert(d, at, d[j]), np.insert(p, at, p[j] * 1.01)
         if rng.random() < 0.2:
-            rng.shuffle(series)
-        prices[name] = series
+            order = rng.permutation(d.size)
+            d, p = d[order], p[order]
+        prices[name] = (d, p)
         if rng.random() < 0.1:  # no signals
             if rng.random() < 0.5:
-                signals[name] = []
+                signals[name] = _signals(name)
             continue
-        records = []
+        rows = []
         for _ in range(int(rng.integers(1, 6))):
             end = days[0] + dt.timedelta(days=int(rng.integers(-3, 1.4 * n_days)))
             # mostly long windows; some with under 3 price days or start > end
             span = rng.integers(-1, 3) if rng.random() < 0.15 else rng.integers(4, 22)
             start = end - dt.timedelta(days=int(span))
             nu_hat = float(rng.integers(-2, 3)) if tied else float(rng.standard_normal())
-            records.append(_signal(name, end, nu_hat, start=start))
+            rows.append((end, nu_hat, start))
             if rng.random() < 0.3:  # same (window_end, window_start), another nu_hat
-                records.append(_signal(name, end, nu_hat + 1.0, start=start))
-        signals[name] = records
+                rows.append((end, nu_hat + 1.0, start))
+        signals[name] = _signals(name, *rows)
     if rng.random() < 0.3:
-        signals["X"] = [_signal("X", days[0], 1.0)]
+        signals["X"] = _signals("X", (days[0], 1.0))
     every = draw(st.integers(1, 7))
     cut = days[draw(st.integers(0, n_days - 1))]
     return prices, signals, RebalanceSchedule(every=every), cut
+
+
+def _until(table, cut):
+    """The rows of a Signals table with window_end <= cut."""
+    keep = table.window_end <= np.datetime64(cut)
+    columns = ("window_start", "window_end", "nu_hat", "a_tilde", "r_squared", "n_obs",
+               "slope_stderr")
+    return Signals(table.name, *(getattr(table, c)[keep] for c in columns))
 
 
 def _outcome(run, *args):
@@ -361,7 +362,7 @@ def test_backtest_matches_reference(case):
     by_nu = None
     for rank_by in ("nu", "mu_tilde"):
         got = _outcome(backtest, prices, signals, schedule, rank_by)
-        want = _outcome(backtest_reference, prices, signals, schedule, rank_by)
+        want = _outcome(backtest_reference, as_rows(prices), as_rows(signals), schedule, rank_by)
         if rank_by == "nu":
             by_nu = want
         if isinstance(want, type):
@@ -384,8 +385,8 @@ def test_backtest_matches_reference(case):
         # appending the data after `cut` leaves the weights up to `cut` as they were
         early = _outcome(
             backtest,
-            {n: [(d, p) for d, p in series if d <= cut] for n, series in prices.items()},
-            {n: [r for r in recs if r.window_end <= cut] for n, recs in signals.items()},
+            {n: (d[d <= cut], p[d <= cut]) for n, (d, p) in prices.items()},
+            {n: _until(table, cut) for n, table in signals.items()},
             schedule,
             rank_by,
         )
