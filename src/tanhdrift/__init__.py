@@ -42,6 +42,7 @@ from .model import (
     drift,
     potential,
     regime_transition_prob_finite,
+    regime_transition_probs_finite,
     schrodinger_potential,
     transition_density,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "drift",
     "potential",
     "regime_transition_prob_finite",
+    "regime_transition_probs_finite",
     "schrodinger_potential",
     "transition_density",
     "TanhDriftError",

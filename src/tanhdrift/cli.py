@@ -154,14 +154,18 @@ COMMANDS: dict[str, list[Opt]] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every command is listed, but only the subparser of
+    command gets its options: a call parses one command's arguments."""
     parser = argparse.ArgumentParser(
         prog="tanhdrift",
         description="Regime-switching stock dynamics, CDS signal extraction, decile backtests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in COMMANDS.items():
-        p = sub.add_parser(command, help=f"{command} command")
+    for name, opts in COMMANDS.items():
+        p = sub.add_parser(name, help=f"{name} command")
+        if name != command:
+            continue
         p.add_argument("--config", default=None, help="JSON config file with defaults for this command")
         for o in opts:
             if o.type is bool:
@@ -353,28 +357,31 @@ def cmd_default_prob(opts: dict) -> int:
         if x0 >= params.x_star
         else model.Direction.DISTRESSED_TO_HEALTHY
     )
-    rows = []
-    for horizon in opts["horizons"]:
-        p = model.regime_transition_prob_finite(params, x0, horizon, direction)
-        validity = params.sigma * params.nu * math.sqrt(horizon)
-        rows.append((horizon, p.value, validity))
+    horizons = opts["horizons"]
+    probs = model.regime_transition_probs_finite(params, x0, horizons, direction)
+    validities = params.sigma * params.nu * np.sqrt(np.asarray(horizons, dtype=float))
+    rows = list(zip(horizons, probs.tolist(), validities.tolist()))
     asym = model.default_prob_asymptotic(params, s0, direction)
 
-    print(f"# direction: {direction.value} (S0={s0!r}, S_star={params.s_star!r})")
-    print(f"{'horizon_years':>14s}  {'probability':>14s}  {'sigma*nu*sqrtT':>14s}  validity")
+    table = [
+        f"# direction: {direction.value} (S0={s0!r}, S_star={params.s_star!r})\n",
+        f"{'horizon_years':>14s}  {'probability':>14s}  {'sigma*nu*sqrtT':>14s}  validity\n",
+    ]
     for horizon, value, validity in rows:
         flag = "ok" if validity >= 3.0 else "outside asymptotic validity"
-        print(f"{horizon:>14.6g}  {value:>14.8g}  {validity:>14.4g}  {flag}")
-    print(f"{'asymptotic':>14s}  {asym.value:>14.8g}")
+        table.append(f"{horizon:>14.6g}  {value:>14.8g}  {validity:>14.4g}  {flag}\n")
+    table.append(f"{'asymptotic':>14s}  {asym.value:>14.8g}\n")
+    sys.stdout.write("".join(table))
 
     if opts["out_dir"] is not None:
         out = Path(opts["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "default_prob.csv", "w", newline="") as fh:
-            fh.write("horizon_years,probability,sigma_nu_sqrt_t,valid\n")
-            for horizon, value, validity in rows:
-                fh.write(f"{horizon!r},{value!r},{validity!r},{int(validity >= 3.0)}\n")
-            fh.write(f"inf,{asym.value!r},,1\n")
+            fh.write(
+                "horizon_years,probability,sigma_nu_sqrt_t,valid\n"
+                + "".join(f"{h!r},{v!r},{w!r},{int(w >= 3.0)}\n" for h, v, w in rows)
+                + f"inf,{asym.value!r},,1\n"
+            )
         _write_resolved_config("default-prob", opts, out)
     return EXIT_OK
 
@@ -573,7 +580,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s")
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         if args.config is not None:

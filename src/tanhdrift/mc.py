@@ -10,7 +10,9 @@ an independent Philox substream, ``Philox(seed).jumped(k)``, and path p
 uses the p-th normal of that block. Draws therefore do not depend on
 iteration order, and the same (params, config) reproduce ensembles
 bit-for-bit on any platform; generating paths in parallel cannot change
-the result.
+the result. A run builds one bit generator and reaches each step's
+substream by resetting it to the seed's state and advancing it by
+k * 2**128 draws, which is what ``jumped(k)`` does to a copy.
 
 Paths may also carry their own parameters and start: a sequence of one
 ModelParams per path and a tuple of one x0 per path. A synthetic
@@ -59,6 +61,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (self.dt > 0):
             raise ValidationError(f"dt must be > 0, got {self.dt}")
         _whole_steps(self.horizon, self.dt)
@@ -102,9 +106,20 @@ class MCEstimate:
             raise ValidationError(f"n must be >= 1, got {self.n}")
 
 
-def _step_normals(seed: int, step: int, n: int) -> np.ndarray:
-    """Standard normals for one time step, from its own Philox substream."""
-    return np.random.Generator(np.random.Philox(seed).jumped(step)).standard_normal(n)
+def _step_normals(seed: int, steps, n: int):
+    """Yield n standard normals for each step k in steps, from the Philox
+    substream Philox(seed).jumped(k), through one bit generator.
+
+    The state is reset before every step, not advanced from the last one,
+    because the ziggurat consumes a variable number of draws.
+    """
+    bits = np.random.Philox(seed)
+    gen = np.random.Generator(bits)
+    start = bits.state
+    for k in steps:
+        bits.state = start
+        bits.advance(k << 128)
+        yield gen.standard_normal(n)
 
 
 def _coefficients(params: ModelParams | Sequence[ModelParams], cfg: SimConfig):
@@ -130,8 +145,7 @@ def _run(params: ModelParams | Sequence[ModelParams], cfg: SimConfig, store: boo
         out = np.empty((n, steps + 1), dtype=float)
         out[:, 0] = x
     scratch = np.empty(n, dtype=float)
-    for k in range(steps):
-        z = _step_normals(cfg.seed, k, n)
+    for k, z in enumerate(_step_normals(cfg.seed, range(steps), n)):
         if drift:
             np.subtract(x, x_star, out=scratch)
             scratch *= nu

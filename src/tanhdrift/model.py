@@ -41,6 +41,7 @@ __all__ = [
     "density_normalization",
     "asymptotic_density",
     "regime_transition_prob_finite",
+    "regime_transition_probs_finite",
     "default_prob_asymptotic",
 ]
 
@@ -197,16 +198,18 @@ def _whole_steps(horizon: float, dt: float) -> int:
     return n
 
 
-def _require_starting_side(x0: float, x_star: float, direction: Direction) -> None:
-    """x0 must lie on the side of x_star that direction starts from;
-    x0 = x_star is on both sides."""
-    if direction is Direction.HEALTHY_TO_DISTRESSED and x0 < x_star:
+def _require_starting_side(x0, x_star: float, direction: Direction) -> None:
+    """Every x0 (a scalar or an array) must lie on the side of x_star
+    that direction starts from; x0 = x_star is on both sides. The first
+    x0 that does not, in input order, is named."""
+    x0 = np.asarray(x0, dtype=float)
+    healthy = direction is Direction.HEALTHY_TO_DISTRESSED
+    wrong = x0 < x_star if healthy else x0 > x_star
+    if wrong.any():
+        need, got = (">=", "<") if healthy else ("<=", ">")
         raise ValidationError(
-            f"healthy-to-distressed requires x0 >= x_star, got x0={x0} < {x_star}"
-        )
-    if direction is Direction.DISTRESSED_TO_HEALTHY and x0 > x_star:
-        raise ValidationError(
-            f"distressed-to-healthy requires x0 <= x_star, got x0={x0} > {x_star}"
+            f"{direction.value} requires x0 {need} x_star, "
+            f"got x0={float(x0.flat[wrong.argmax()])} {got} {x_star}"
         )
 
 
@@ -292,9 +295,9 @@ def density_normalization(params: ModelParams, x0: float, t: float) -> float:
     return total
 
 
-def regime_transition_prob_finite(
-    params: ModelParams, x0: float, horizon: float, direction: Direction
-) -> RegimeProbability:
+def regime_transition_probs_finite(
+    params: ModelParams, x0, horizon, direction: Direction
+) -> np.ndarray:
     """Probability of ending on the other side of x_star at time T.
 
     Terminal-time classification: the integral of the transition density
@@ -304,21 +307,36 @@ def regime_transition_prob_finite(
     with w_up, w_dn = expit(+-2 nu (x0 - x_star)), so healthy -> distressed
     is w_up Phi(a) + w_dn Phi(b) with a, b = (x_star - x0 -+ mu_tilde T) / (sigma sqrt T);
     the reverse direction is its mirror image about x_star. x0 must lie
-    on the starting side; x0 = x_star is accepted and returns exactly
-    0.5 (the density from the threshold is even about it).
+    on the starting side; x0 = x_star is accepted and gives exactly 0.5
+    (the density from the threshold is even about it).
+
+    x0 and horizon are scalars or arrays, broadcast against each other,
+    and the result has their broadcast shape. The first horizon that is
+    not > 0, or the first x0 on the wrong side, in input order, is named
+    in the ValidationError.
     """
     _require_diffusive(params)
-    if not (horizon > 0):
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    horizon = np.asarray(horizon, dtype=float)
+    bad = ~(horizon > 0)
+    if bad.any():
+        raise ValidationError(f"horizon must be > 0, got {float(horizon.flat[bad.argmax()])}")
     _require_starting_side(x0, params.x_star, direction)
-    if x0 == params.x_star:
-        return RegimeProbability(0.5, direction, horizon)
-    d = abs(x0 - params.x_star)  # the mirror image maps one direction onto the other
+    d = np.abs(np.asarray(x0, dtype=float) - params.x_star)  # mirror one direction onto the other
     drift_t = params.mu_tilde * horizon
-    s = params.sigma * math.sqrt(horizon)
+    s = params.sigma * np.sqrt(horizon)
     lam = 2.0 * params.nu * d
-    p = float(expit(lam) * ndtr(-(d + drift_t) / s) + expit(-lam) * ndtr((drift_t - d) / s))
-    return RegimeProbability(min(max(p, 0.0), 1.0), direction, horizon)
+    # scipy's expit, not 1/(1 + np.exp(-lam)): numpy's SIMD exp differs from
+    # libm on long arrays, and a value must not depend on the array's length
+    p = expit(lam) * ndtr(-(d + drift_t) / s) + expit(-lam) * ndtr((drift_t - d) / s)
+    return np.clip(np.where(d == 0.0, 0.5, p), 0.0, 1.0)
+
+
+def regime_transition_prob_finite(
+    params: ModelParams, x0: float, horizon: float, direction: Direction
+) -> RegimeProbability:
+    """:func:`regime_transition_probs_finite` at one start and one horizon."""
+    p = float(regime_transition_probs_finite(params, x0, horizon, direction))
+    return RegimeProbability(p, direction, horizon)
 
 
 def default_prob_asymptotic(

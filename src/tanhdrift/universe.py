@@ -71,6 +71,8 @@ class UniverseSpec:
             raise ValidationError(f"n_names must be >= 1, got {self.n_names}")
         if self.days < 2:
             raise ValidationError(f"days must be >= 2, got {self.days}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if trading_dates(self.start_date, self.days)[-1] > np.datetime64(dt.date.max):
             raise ValidationError(f"{self.days} days from {self.start_date} end after year 9999")
         for label, (lo, hi) in (

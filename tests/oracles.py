@@ -19,6 +19,12 @@ the package's density profile over a truncated half-line
 quadrature over the whole truncated line (_quad_density). The
 quadrature knows nothing of the mixture form.
 
+regime_transition_prob_finite_reference is the scalar closed form that
+model.regime_transition_probs_finite (an array kernel) replaced, kept
+verbatim; step_normals_reference is the per-step Philox construction
+that mc's one bit generator per run replaced. Both are the bit-for-bit
+oracles of their replacements.
+
 solve_fp_reference is the SuperLU Crank-Nicolson loop that
 fokker_planck.solve_fp replaced; the prefactored LAPACK version is
 checked against it.
@@ -45,7 +51,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
-from scipy.special import expit
+from scipy.special import expit, ndtr
 from scipy.stats import norm
 
 from tanhdrift.cds import Signals, SpreadSeries
@@ -58,7 +64,16 @@ from tanhdrift.errors import (
     ValidationError,
 )
 from tanhdrift.fokker_planck import DensityField, GridSpec, boundary_margin
-from tanhdrift.model import Direction, ModelParams, _log_cosh, density_profile, drift
+from tanhdrift.model import (
+    Direction,
+    ModelParams,
+    RegimeProbability,
+    _log_cosh,
+    _require_diffusive,
+    _require_starting_side,
+    density_profile,
+    drift,
+)
 from tanhdrift.portfolio import (
     BacktestReport,
     PortfolioSnapshot,
@@ -211,6 +226,34 @@ def _finite_prob_quadrature(
     else:
         a, b = params.x_star, hi
     return _quad_density(params, x0, horizon, a, b)
+
+
+# ---------------------------------------------------------------------------
+# Scalar code that an array kernel or a reused generator replaced, kept
+# verbatim as the bit-for-bit oracle of its replacement.
+
+
+def regime_transition_prob_finite_reference(
+    params: ModelParams, x0: float, horizon: float, direction: Direction
+) -> RegimeProbability:
+    """The finite-horizon probability one (x0, horizon) at a time."""
+    _require_diffusive(params)
+    if not (horizon > 0):
+        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    _require_starting_side(x0, params.x_star, direction)
+    if x0 == params.x_star:
+        return RegimeProbability(0.5, direction, horizon)
+    d = abs(x0 - params.x_star)  # the mirror image maps one direction onto the other
+    drift_t = params.mu_tilde * horizon
+    s = params.sigma * math.sqrt(horizon)
+    lam = 2.0 * params.nu * d
+    p = float(expit(lam) * ndtr(-(d + drift_t) / s) + expit(-lam) * ndtr((drift_t - d) / s))
+    return RegimeProbability(min(max(p, 0.0), 1.0), direction, horizon)
+
+
+def step_normals_reference(seed: int, step: int, n: int) -> np.ndarray:
+    """Standard normals for one time step, from its own Philox substream."""
+    return np.random.Generator(np.random.Philox(seed).jumped(step)).standard_normal(n)
 
 
 def ols_fit(x, y) -> tuple[float, float]:

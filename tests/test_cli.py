@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tanhdrift as td
-from tanhdrift.cli import COMMANDS, EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from tanhdrift.cli import (
+    COMMANDS,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_TOLERANCE,
+    EXIT_VALIDATION,
+    _build_parser,
+    main,
+)
 from tanhdrift.cds import load_signals_csv, load_spread_series, rolling_extract
 from tanhdrift.mc import SimConfig, simulate
 from tanhdrift.universe import (
@@ -26,7 +34,7 @@ from tanhdrift.universe import (
     trading_dates,
 )
 
-from oracles import trading_dates_reference
+from oracles import regime_transition_prob_finite_reference, trading_dates_reference
 
 
 def _run(*args) -> int:
@@ -153,6 +161,44 @@ def test_default_prob_validity_flag(capsys):
     assert "outside asymptotic validity" in out
 
 
+@pytest.mark.parametrize("s0", [150.0, 60.0])
+def test_default_prob_output_equals_the_scalar_reference(tmp_path, capsys, s0):
+    # stdout and the CSV, byte for byte as one scalar call per horizon
+    # writes them; sigma nu sqrt(36) = 3 sits on the validity boundary
+    nu, sigma, s_star = 1.0, 0.5, 100.0
+    horizons = [0.25, 35.99, 36.0, 1.0 / 3.0, 400.0, 1e-9]
+    assert _run("default-prob", "--nu", nu, "--sigma", sigma, "--s-star", s_star, "--s0", s0,
+                "--horizons", ",".join(map(repr, horizons)), "--out-dir", tmp_path) == EXIT_OK
+    params = td.ModelParams.from_threshold_price(nu, sigma, s_star)
+    x0 = math.log(s0)
+    direction = (td.Direction.HEALTHY_TO_DISTRESSED if s0 > s_star
+                 else td.Direction.DISTRESSED_TO_HEALTHY)
+    asym = td.default_prob_asymptotic(params, s0, direction).value
+    table = [f"# direction: {direction.value} (S0={s0!r}, S_star={params.s_star!r})",
+             f"{'horizon_years':>14s}  {'probability':>14s}  {'sigma*nu*sqrtT':>14s}  validity"]
+    csv = ["horizon_years,probability,sigma_nu_sqrt_t,valid"]
+    for t in horizons:
+        value = regime_transition_prob_finite_reference(params, x0, t, direction).value
+        validity = params.sigma * params.nu * math.sqrt(t)
+        flag = "ok" if validity >= 3.0 else "outside asymptotic validity"
+        table.append(f"{t:>14.6g}  {value:>14.8g}  {validity:>14.4g}  {flag}")
+        csv.append(f"{t!r},{value!r},{validity!r},{int(validity >= 3.0)}")
+    table.append(f"{'asymptotic':>14s}  {asym:>14.8g}")
+    csv.append(f"inf,{asym!r},,1")
+    assert capsys.readouterr().out == "\n".join(table) + "\n"
+    assert (tmp_path / "default_prob.csv").read_text() == "\n".join(csv) + "\n"
+    assert csv[3].endswith(",3.0,1") and csv[2].endswith(",0")
+
+
+def test_default_prob_names_the_first_bad_horizon(capsys):
+    code = _run("default-prob", "--nu", 1, "--sigma", 0.2, "--s-star", 100, "--s0", 150,
+                "--horizons", "5,-2,0,-3")
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "horizon must be > 0, got -2.0" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # simulate / fp-check
 
@@ -164,6 +210,23 @@ def test_simulate_deterministic_dump(tmp_path):
     assert _run(*args, "--out-dir", a) == EXIT_OK
     assert _run(*args, "--out-dir", b) == EXIT_OK
     assert (a / "ensemble.csv").read_bytes() == (b / "ensemble.csv").read_bytes()
+
+
+_NEGATIVE_SEEDS = {
+    "simulate": ["simulate", "--nu", 1, "--sigma", 0.3, "--x0", 0.2, "--n-paths", 5,
+                 "--dt", 0.05, "--horizon", 0.5, "--seed", -1],
+    "density": ["density", "--nu", 1, "--sigma", 0.3, "--x0", 0.2, "--t", 0.5,
+                "--compare-mc", "--mc-paths", 100, "--mc-seed", -5],
+    "synth-universe": ["synth-universe", "--n-names", 3, "--days", 42, "--seed", -1],
+}
+
+
+@pytest.mark.parametrize("command", list(_NEGATIVE_SEEDS))
+def test_negative_seed_is_a_validation_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert _run(*_NEGATIVE_SEEDS[command], "--out-dir", out) == EXIT_VALIDATION
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fp_check_passes_at_reference_resolution(capsys):
@@ -714,3 +777,56 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 
 def test_missing_required_option(tmp_path):
     assert _run("density", "--nu", 1) == EXIT_VALIDATION
+
+
+def test_config_overrides_defaults(tmp_path, capsys):
+    # horizons default to 25,100,400; the config's one horizon replaces them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "default-prob",
+        "options": {"nu": 1.0, "sigma": 0.2, "s_star": 100.0, "s0": 150.0, "horizons": [7.5]},
+    }))
+    assert _run("default-prob", "--config", cfg, "--out-dir", tmp_path / "out") == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line and not line.startswith("#")]
+    assert [r[0] for r in rows[1:]] == ["7.5", "asymptotic"]
+    resolved = json.loads((tmp_path / "out" / "default_prob_config.json").read_text())
+    assert resolved["options"]["horizons"] == [7.5] and resolved["options"]["x_star"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("--help")
+    assert exc.value.code == 0
+    top = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in top
+    for command in COMMANDS:
+        assert f"{command} command" in top
+    for command, opts in COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            _run(command, "--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: tanhdrift {command} ") and "--config" in text
+        for o in opts:
+            assert "--" + o.name.replace("_", "-") in text, (command, o.name)
+
+
+def test_unknown_command_exits_2(capsys):
+    assert _exit_code("no-such-command", "--nu", 1) == EXIT_VALIDATION
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    assert _exit_code() == EXIT_VALIDATION
+
+
+def test_only_the_named_command_gets_its_options():
+    # another command's options are not built, and so not parsed
+    parser = _build_parser("default-prob")
+    args = parser.parse_args(["default-prob", "--nu", "1", "--sigma", "0.2", "--s0", "5"])
+    assert (args.command, args.nu, args.horizons) == ("default-prob", 1.0, [25.0, 100.0, 400.0])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["simulate", "--nu", "1"])
+    assert exc.value.code == EXIT_VALIDATION

@@ -17,7 +17,7 @@ from tanhdrift.mc import (
     write_ensemble_csv,
 )
 
-from oracles import mixture_prob_below
+from oracles import mixture_prob_below, step_normals_reference
 
 H2D = td.Direction.HEALTHY_TO_DISTRESSED
 D2H = td.Direction.DISTRESSED_TO_HEALTHY
@@ -32,6 +32,8 @@ def test_config_validation():
         SimConfig(n_paths=10, dt=1.0, horizon=1.0, seed=1, x0=0.0)
     with pytest.raises(td.ValidationError):
         SimConfig(n_paths=10, dt=0.3, horizon=1.0, seed=1, x0=0.0)
+    with pytest.raises(td.ValidationError, match="seed must be >= 0, got -1"):
+        SimConfig(n_paths=10, dt=0.01, horizon=1.0, seed=-1, x0=0.0)
     cfg = SimConfig(n_paths=10, dt=0.01, horizon=1.0, seed=1, x0=0.0)
     assert cfg.n_steps == 100
 
@@ -118,11 +120,47 @@ def test_per_path_lengths_validated():
 
 
 def test_step_normals_reproducible_and_disjoint():
-    z1 = _step_normals(5, 3, 100)
-    z2 = _step_normals(5, 3, 100)
+    z1 = step_normals_reference(5, 3, 100)
+    z2 = step_normals_reference(5, 3, 100)
     assert np.array_equal(z1, z2)
-    assert not np.array_equal(_step_normals(5, 4, 100), z1)
-    assert not np.array_equal(_step_normals(6, 3, 100), z1)
+    assert not np.array_equal(step_normals_reference(5, 4, 100), z1)
+    assert not np.array_equal(step_normals_reference(6, 3, 100), z1)
+
+
+_SEEDS = [0, 2**62 - 1] + [int(s) for s in np.random.default_rng(8).integers(0, 2**62, 3)]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_step_streams_equal_the_jumped_reference(seed):
+    # one bit generator, reset and advanced per step, draws what a fresh
+    # Philox(seed).jumped(k) draws, bit for bit, far past 2**32 steps too
+    steps = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 3]
+    for n in (1, 100_001):
+        for k, z in zip(steps, _step_normals(seed, steps, n), strict=True):
+            want = step_normals_reference(seed, k, n)
+            assert np.array_equal(z.view(np.uint64), want.view(np.uint64)), (k, n)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("nu", [0.0, 1.5])
+def test_simulate_draws_equal_the_jumped_reference(seed, nu):
+    # the integrator's steps, replayed on the reference draws, give the
+    # same paths and terminal values bit for bit
+    params = td.ModelParams(nu=nu, sigma=0.8, x_star=0.1)
+    for n in (1, 100_001):
+        cfg = SimConfig(n_paths=n, dt=0.25, horizon=1.0, seed=seed, x0=0.3)
+        mu_dt, sig_sqdt = params.mu_tilde * cfg.dt, params.sigma * math.sqrt(cfg.dt)
+        x = np.full(n, 0.3)
+        want = [x.copy()]
+        for k in range(cfg.n_steps):
+            if nu > 0:
+                x += np.tanh((x - params.x_star) * params.nu) * mu_dt
+            x += step_normals_reference(seed, k, n) * sig_sqdt
+            want.append(x.copy())
+        want = np.stack(want, axis=1)
+        assert np.array_equal(simulate(params, cfg).paths.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(terminal_values(params, cfg).view(np.uint64),
+                              want[:, -1].view(np.uint64))
 
 
 def test_transition_prob_boundary_half():
@@ -232,7 +270,7 @@ def test_weak_convergence_trend_with_coupled_increments():
     params = td.ModelParams(nu, sigma, x_star)
     exact = mixture_prob_below(nu, sigma, x_star, x0, horizon, x_star)
     n, seed, n_fine = 200_000, 99, 100
-    fine = np.stack([_step_normals(seed, k, n) for k in range(n_fine)])
+    fine = np.stack([step_normals_reference(seed, k, n) for k in range(n_fine)])
     errors = []
     for agg, dt in ((4, 0.04), (2, 0.02), (1, 0.01)):
         x = np.full(n, x0)

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -19,6 +21,7 @@ from oracles import (
     mixture_density,
     mixture_prob_above,
     mixture_prob_below,
+    regime_transition_prob_finite_reference,
 )
 
 H2D = td.Direction.HEALTHY_TO_DISTRESSED
@@ -427,6 +430,76 @@ def test_finite_prob_validation():
         td.regime_transition_prob_finite(p, 0.5, 1.0, D2H)
     with pytest.raises(td.ValidationError):
         td.regime_transition_prob_finite(p, 0.5, 0.0, H2D)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    nu=st.floats(0.0, 5.0),
+    sigma=st.floats(0.01, 2.0),
+    x_star=st.floats(-3.0, 3.0),
+    offsets=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=1, max_size=5),
+    horizons=st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=5),
+    direction=st.sampled_from([H2D, D2H]),
+    bad=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.sampled_from([0.0, -0.0, -1.5]))),
+)
+def test_finite_prob_kernel_equals_the_scalar_reference(
+    nu, sigma, x_star, offsets, horizons, direction, bad
+):
+    # every (x0, T) of the broadcast grid is bit for bit the scalar
+    # formula, in both directions and at x0 == x_star (offset 0)
+    p = td.ModelParams(nu, sigma, x_star)
+    x0 = x_star + (1.0 if direction is H2D else -1.0) * np.array(offsets)
+    got = td.regime_transition_probs_finite(p, x0[:, None], horizons, direction)
+    want = np.array([
+        [regime_transition_prob_finite_reference(p, float(x), t, direction).value for t in horizons]
+        for x in x0
+    ])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    scalar = td.regime_transition_prob_finite(p, float(x0[0]), horizons[0], direction)
+    assert scalar.value == want[0, 0]
+    # and agrees with quadrature of the density within the quadrature's
+    # own tolerance (epsabs = epsrel = 1e-10)
+    quad_value = _finite_prob_quadrature(p, float(x0[0]), horizons[0], direction)
+    assert abs(got[0, 0] - quad_value) <= 1e-9
+    if bad is not None:
+        # the first horizon that is not > 0, in input order, is named
+        at, value = bad
+        ladder = horizons[:at] + [value] + horizons[at:] + [-7.0]
+        with pytest.raises(td.ValidationError) as kernel_error:
+            td.regime_transition_probs_finite(p, x0, np.array(ladder)[:, None], direction)
+        with pytest.raises(td.ValidationError) as scalar_error:
+            regime_transition_prob_finite_reference(p, float(x0[0]), value, direction)
+        message = f"horizon must be > 0, got {value}"
+        assert str(kernel_error.value) == str(scalar_error.value) == message
+
+
+def test_finite_prob_kernel_on_long_arrays_equals_the_scalar_reference():
+    # numpy's loops over long arrays may take SIMD paths that short ones
+    # do not; 60,000 (x0, T) pairs stay bit for bit the scalar formula
+    rng = np.random.default_rng(13)
+    for direction in (H2D, D2H):
+        for _ in range(3):
+            p = _random_params(rng)
+            if p.sigma == 0:
+                continue
+            sign = 1.0 if direction is H2D else -1.0
+            x0 = p.x_star + sign * np.exp(rng.uniform(-8.0, 2.0, 10_000))
+            t = np.exp(rng.uniform(-6.0, 6.0, 10_000))
+            got = td.regime_transition_probs_finite(p, x0, t, direction)
+            want = np.array([
+                regime_transition_prob_finite_reference(p, a, b, direction).value
+                for a, b in zip(x0.tolist(), t.tolist())
+            ])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_finite_prob_kernel_names_the_first_start_on_the_wrong_side():
+    p = td.ModelParams(1.0, 0.2, 0.5)
+    with pytest.raises(td.ValidationError, match=r"x0 >= x_star, got x0=0.25 < 0.5"):
+        td.regime_transition_probs_finite(p, [0.7, 0.5, 0.25, -1.0], 1.0, H2D)
+    with pytest.raises(td.ValidationError, match=r"x0 <= x_star, got x0=0.75 > 0.5"):
+        td.regime_transition_probs_finite(p, [[0.1], [0.75], [2.0]], [1.0, 2.0], D2H)
 
 
 def test_monotone_approach_to_asymptote():
