@@ -14,16 +14,20 @@ reported raw; S_star is deliberately not extracted (it is unidentifiable
 without knowing b, and the intercept is unstable out-of-sample) --
 :func:`implied_s_star` computes it only when the caller supplies (R, T).
 
-A name's observations are held as arrays (:class:`SpreadSeries`), all
-windows of a name are fitted in one batched pass whose numbers are those
-of scipy.stats.linregress per window, and a name's fits are one table of
-columns (:class:`Signals`). Dates are datetime64[D] arrays throughout,
-read from text by dt.date.fromisoformat only. Every CSV file of the
-package is read through one columnar reader, :func:`_read_csv`: exact
-header, blank lines skipped, one field per header column on every other
-row. It reads the body with a single numpy.loadtxt call, so floats are
-parsed in C and no parse call runs per row in Python; only when a file
-is rejected is it read again row by row, to name the line at fault.
+A name's observations are held as arrays (:class:`SpreadSeries`). The
+windows of many names are fitted in one batched pass whose numbers are
+those of scipy.stats.linregress per window: :func:`extract_universe`
+reads a universe name by name and fits its windows in passes of at most
+_PASS_WINDOWS windows, so a pass spans names and a name may span passes.
+The fits of any number of names are one table of columns with a name
+column (:class:`Signals`), from the fit through signals.csv to the
+backtest. Dates are datetime64[D] arrays throughout, read from text by
+dt.date.fromisoformat only. Every CSV file of the package is read
+through one columnar reader, :func:`_read_csv`: exact header, blank
+lines skipped, one field per header column on every other row. It reads
+the body with a single numpy.loadtxt call, so floats are parsed in C and
+no parse call runs per row in Python; only when a file is rejected is it
+read again row by row, to name the line at fault.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
     "synth_spread",
     "extract_nu",
     "rolling_extract",
+    "extract_universe",
     "implied_s_star",
     "load_spread_series",
     "write_signals_csv",
@@ -72,6 +77,11 @@ log = logging.getLogger(__name__)
 # month of trading days minus holidays still clears this.
 MIN_WINDOW = 15
 
+# Windows fitted per pass of extract_universe: enough that the fixed cost
+# of a pass is spread over many names, few enough that its arrays stay
+# small whatever the size of the universe.
+_PASS_WINDOWS = 2048
+
 
 def _days(dates) -> np.ndarray:
     """dt.date objects as a datetime64[D] array, through their ordinals:
@@ -80,14 +90,15 @@ def _days(dates) -> np.ndarray:
     return np.datetime64("0001-01-01", "D") + (ordinals - 1)
 
 
-def _store_columns(table, dtypes: dict) -> None:
+def _store_columns(table, dtypes: dict, what: str) -> None:
     """Store each column named in dtypes as a read-only 1-D copy of that
-    dtype; all must be as long as the first."""
+    dtype; all must be as long as the first. what names the table in an
+    error."""
     n = np.size(getattr(table, next(iter(dtypes))))
     for label, dtype in dtypes.items():
         values = np.array(getattr(table, label), dtype=dtype)
         if values.shape != (n,):
-            raise ValidationError(f"{table.name}: {label} has shape {values.shape}, not ({n},)")
+            raise ValidationError(f"{what}: {label} has shape {values.shape}, not ({n},)")
         values.setflags(write=False)
         object.__setattr__(table, label, values)
 
@@ -108,7 +119,7 @@ class SpreadSeries:
     spread: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_columns(self, {"dates": "M8[D]", "price": float, "spread": float})
+        _store_columns(self, {"dates": "M8[D]", "price": float, "spread": float}, self.name)
         dates = self.dates
         for label in ("price", "spread"):
             values = getattr(self, label)
@@ -125,16 +136,24 @@ class SpreadSeries:
         return len(self.dates)
 
 
+# The columns of a Signals table, in signals.csv order, and their dtypes.
+_SIGNAL_COLUMNS = {"name": object, "window_start": "M8[D]", "window_end": "M8[D]",
+                   "nu_hat": float, "a_tilde": float, "r_squared": float, "n_obs": np.int64,
+                   "slope_stderr": float}
+
+
 @dataclass(frozen=True, eq=False)
 class Signals:
-    """One name's extracted signals as columns, one row per window.
+    """Extracted signals as columns, one row per window of a name.
 
-    window_start and window_end are datetime64[D], n_obs int64 and the
-    rest float64, stored as read-only copies of one length. nu_hat and
+    A table holds any number of names, in any row order. name is an
+    object array of str, window_start and window_end are datetime64[D],
+    n_obs int64 and the rest float64, stored as read-only copies of one
+    length. Every row is checked in one vectorized pass: nu_hat and
     a_tilde must be finite and r_squared in [0, 1] or NaN.
     """
 
-    name: str
+    name: np.ndarray
     window_start: np.ndarray
     window_end: np.ndarray
     nu_hat: np.ndarray
@@ -144,9 +163,7 @@ class Signals:
     slope_stderr: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_columns(self, {"window_start": "M8[D]", "window_end": "M8[D]", "nu_hat": float,
-                              "a_tilde": float, "r_squared": float, "n_obs": np.int64,
-                              "slope_stderr": float})
+        _store_columns(self, _SIGNAL_COLUMNS, "signals")
         nu, a, r2 = self.nu_hat, self.a_tilde, self.r_squared
         bad = np.flatnonzero(~(np.isfinite(nu) & np.isfinite(a)))
         if bad.size:
@@ -158,6 +175,26 @@ class Signals:
 
     def __len__(self) -> int:
         return len(self.nu_hat)
+
+    @classmethod
+    def concat(cls, tables: Iterable[Signals]) -> Signals:
+        """One table of the rows of tables, in turn (no tables: no rows)."""
+        tables = list(tables)
+        return cls(*(np.concatenate([np.empty(0, dtype)] + [getattr(t, c) for t in tables])
+                     for c, dtype in _SIGNAL_COLUMNS.items()))
+
+    def take(self, rows) -> Signals:
+        """The table of the rows that rows (indices, a mask or a slice) selects."""
+        return Signals(*(getattr(self, c)[rows] for c in _SIGNAL_COLUMNS))
+
+    def by_name(self) -> dict[str, np.ndarray]:
+        """Each name's row indices, in table order; the names in sorted
+        order. One stable sort of the name column."""
+        order = np.argsort(self.name, kind="stable")
+        names = self.name[order]
+        cuts = np.flatnonzero(names[1:] != names[:-1]) + 1
+        firsts = names[np.append(0, cuts)].tolist() if len(self) else []
+        return dict(zip(firsts, np.split(order, cuts)))
 
 
 @dataclass(frozen=True)
@@ -200,9 +237,17 @@ def synth_spread(params: ModelParams, cfg: SpreadModelConfig, s0: float) -> floa
     return cfg.b * p
 
 
-def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> Signals:
+def _fits(
+    batch: Sequence[SpreadSeries], starts: Sequence[np.ndarray], w: int
+) -> tuple[Signals, np.ndarray]:
     """OLS of ln(spread) on ln(price) over the w observations from each
-    index in starts, all windows at once.
+    index in starts[i] of batch[i], every window of every series at once:
+    the table of the fitted windows, in batch and then start order, and
+    how many windows of each series it holds.
+
+    The series are concatenated, and each start is offset into the
+    concatenation. Every reduction runs along one window, so a window's
+    numbers do not depend on the others in the pass.
 
     Windows with a log-price sample std below 1e-10 have no slope and
     get no row; so do one-observation windows, whose sample std is
@@ -211,10 +256,14 @@ def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> Signals:
     gives for it, bit for bit: its moments are np.cov(x, y, bias=1),
     centred rows times their own transpose, scaled by 1/w.
     """
-    idx = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(w)
-    xy = np.stack([np.log(series.price)[idx], np.log(series.spread)[idx]], axis=1)
+    sizes = np.array([len(s) for s in batch], dtype=np.intp)
+    owner = np.repeat(np.arange(len(batch)), [len(s) for s in starts])
+    first = np.concatenate([np.asarray(s, dtype=np.intp) for s in starts])
+    idx = (first + (np.cumsum(sizes) - sizes)[owner])[:, None] + np.arange(w)
+    x, y = (np.log(np.concatenate([getattr(s, c) for s in batch])) for c in ("price", "spread"))
+    xy = np.stack([x[idx], y[idx]], axis=1)
     keep = np.std(xy[:, 0], axis=1, ddof=1) >= 1e-10 if w > 1 else np.zeros(len(idx), bool)
-    first, xy = idx[keep, 0], xy[keep]
+    first, xy, owner = idx[keep, 0], xy[keep], owner[keep]
     mean = xy.mean(axis=2)
     d = xy - mean[:, :, None]
     cov = d @ d.transpose(0, 2, 1) * (1.0 / w)
@@ -228,8 +277,11 @@ def _fits(series: SpreadSeries, starts: Sequence[int], w: int) -> Signals:
         r2 = np.where(flat, 1.0, [v**2 for v in r.tolist()])
         stderr = np.sqrt((1.0 - r2) * ssym / ssxm / (w - 2)) if w > 2 else np.zeros_like(r2)
     intercept = np.where(flat, xy[:, 1, 0], mean[:, 1] - slope * mean[:, 0])
-    return Signals(series.name, series.dates[first], series.dates[first + (w - 1)], -slope / 2.0,
-                   intercept, np.minimum(r2, 1.0), np.full(len(first), w), stderr)
+    names = np.array([s.name for s in batch], dtype=object)
+    dates = np.concatenate([s.dates for s in batch])
+    table = Signals(names[owner], dates[first], dates[first + (w - 1)], -slope / 2.0, intercept,
+                    np.minimum(r2, 1.0), np.full(len(first), w), stderr)
+    return table, np.bincount(owner, minlength=len(batch))
 
 
 def extract_nu(
@@ -251,7 +303,7 @@ def extract_nu(
     need = max(min_window, 1)
     if n < need:
         raise InsufficientData(f"{series.name}: {max(n, 0)} observations in window, need >= {need}")
-    table = _fits(series, [lo], n)
+    table, _ = _fits([series], [[lo]], n)
     if not len(table):
         raise DegeneratePrices(
             f"{series.name}: log-price sample std < 1e-10 or undefined, no slope"
@@ -273,19 +325,80 @@ def rolling_extract(
     with one warning per name giving their count and the reason; if no
     window succeeds, EmptyResult is raised.
     """
+    table, errors = extract_universe([(series.name, series)], window_len, stride, min_window)
+    if errors:
+        raise EmptyResult(errors[0][1])
+    return table
+
+
+def extract_universe(
+    sources: Iterable[tuple[str, str | Path | SpreadSeries]],
+    window_len: int,
+    stride: int,
+    min_window: int = MIN_WINDOW,
+) -> tuple[Signals, list[tuple[str, str]]]:
+    """rolling_extract over many names: sources are (name, spread CSV
+    path or SpreadSeries) pairs, read in order.
+
+    Returns one table of the rows of every name, in name order and each
+    name's rows in window order, and (name, reason) for each name that
+    could not be read or has no usable window, in source order. The skip
+    warnings are those of rolling_extract, in source order. window_len
+    and stride are checked before any file is read.
+
+    A name is read when its turn comes; its windows join the pending
+    pass, which is fitted whenever it holds _PASS_WINDOWS windows, and
+    once more at the end. Only the fitted columns and a count per name
+    outlive a pass.
+    """
     if window_len < 1 or stride < 1:
         raise ValidationError(f"window_len and stride must be >= 1, got {window_len}, {stride}")
-    starts = range(0, len(series) - window_len + 1, stride)
     short = window_len < min_window
-    table = _fits(series, [] if short else starts, window_len)
-    if len(table) < len(starts):
-        reason = (f"{window_len} < {min_window} observations" if short
-                  else "log-price sample std < 1e-10 or undefined, no slope")
-        log.warning("%s: %d of %d windows skipped: %s",
-                    series.name, len(starts) - len(table), len(starts), reason)
-    if not len(table):
-        raise EmptyResult(f"{series.name}: no window produced a usable fit")
-    return table
+    outcomes: list[list] = []  # per source: name, windows, windows fitted, load error
+    tables: list[Signals] = []
+    pending: list[tuple[SpreadSeries, np.ndarray, list]] = []  # series, starts, its outcome
+
+    def fit_pass() -> None:
+        table, counts = _fits([p[0] for p in pending], [p[1] for p in pending], window_len)
+        tables.append(table)
+        for (_, _, outcome), n in zip(pending, counts.tolist()):
+            outcome[2] += n
+        pending.clear()
+
+    room = _PASS_WINDOWS
+    for name, source in sources:
+        try:
+            series = (source if isinstance(source, SpreadSeries)
+                      else load_spread_series(source, name=name))
+        except (DataError, ValidationError) as exc:
+            outcomes.append([name, 0, 0, str(exc)])
+            continue
+        todo = np.arange(0, len(series) - window_len + 1, stride)
+        outcomes.append(outcome := [name, len(todo), 0, None])
+        while len(todo) and not short:
+            chunk, todo = todo[:room], todo[room:]
+            pending.append((series, chunk, outcome))
+            room -= len(chunk)
+            if not room:
+                fit_pass()
+                room = _PASS_WINDOWS
+    if pending:
+        fit_pass()
+
+    errors = []
+    for name, windows, fitted, error in outcomes:
+        if error is not None:
+            errors.append((name, error))
+            continue
+        if fitted < windows:
+            reason = (f"{window_len} < {min_window} observations" if short
+                      else "log-price sample std < 1e-10 or undefined, no slope")
+            log.warning("%s: %d of %d windows skipped: %s",
+                        name, windows - fitted, windows, reason)
+        if not fitted:
+            errors.append((name, f"{name}: no window produced a usable fit"))
+    table = Signals.concat(tables)
+    return table.take(np.argsort(table.name, kind="stable")), errors
 
 
 def implied_s_star(nu_hat: float, a_tilde: float, cfg: SpreadModelConfig) -> float:
@@ -442,32 +555,35 @@ def load_spread_series(path, name: str | None = None) -> SpreadSeries:
     return SpreadSeries(name if name is not None else path.stem, _days(dates), price, spread)
 
 
-def write_signals_csv(tables: Iterable[Signals], path) -> None:
-    """Write tables in turn as name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs."""
+# Rows of signals.csv formatted per write: the text of a whole universe's
+# rows is never held at once.
+_WRITE_ROWS = 1024
+
+
+def write_signals_csv(table: Signals, path) -> None:
+    """Write the rows of table, in table order, as
+    name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_SIGNAL_HEADER) + "\n")
-        for t in tables:
-            columns = (np.datetime_as_string(t.window_start), np.datetime_as_string(t.window_end),
-                       t.nu_hat, t.a_tilde, t.r_squared, t.n_obs)
-            fh.write("".join([f"{t.name},{s},{e},{nu!r},{a!r},{q!r},{n}\n"
-                              for s, e, nu, a, q, n in zip(*(c.tolist() for c in columns))]))
+        for lo in range(0, len(table), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            columns = (table.name[rows], np.datetime_as_string(table.window_start[rows]),
+                       np.datetime_as_string(table.window_end[rows]), table.nu_hat[rows],
+                       table.a_tilde[rows], table.r_squared[rows], table.n_obs[rows])
+            fh.write("".join([f"{name},{s},{e},{nu!r},{a!r},{q!r},{n}\n"
+                              for name, s, e, nu, a, q, n in zip(*(c.tolist() for c in columns))]))
 
 
-def _signal_tables(names, starts, ends, *fits) -> dict[str, Signals]:
-    """One table per name, of its rows in file order (stderr not kept)."""
-    rows: dict[str, list[int]] = {}
-    for i, name in enumerate(names):
-        rows.setdefault(name, []).append(i)
-    columns = [_days(starts), _days(ends), *map(np.asarray, fits), np.full(len(names), math.nan)]
-    return {name: Signals(name, *(c[idx] for c in columns)) for name, idx in rows.items()}
+def _signal_table(names, starts, ends, *fits) -> Signals:
+    """The rows of a signals CSV as one table, in file order (stderr not kept)."""
+    return Signals(names, _days(starts), _days(ends), *fits, np.full(len(names), math.nan))
 
 
-def load_signals_csv(path) -> dict[str, Signals]:
-    """Read a signals CSV back into one table per name, in the order of
-    each name's first row; a name's rows keep their file order."""
+def load_signals_csv(path) -> Signals:
+    """Read a signals CSV back into one table, its rows in file order."""
     path = Path(path)
-    tables = _read_csv(path, _SIGNAL_HEADER, (str, dt.date, dt.date, float, float, float, int),
-                       _signal_tables)
-    if not tables:
+    table = _read_csv(path, _SIGNAL_HEADER, (str, dt.date, dt.date, float, float, float, int),
+                      _signal_table)
+    if not len(table):
         raise EmptyResult(f"{path}: no signal records")
-    return tables
+    return table

@@ -154,25 +154,41 @@ COMMANDS: dict[str, list[Opt]] = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser. Every command is listed, but only the subparser of
-    command gets its options: a call parses one command's arguments."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser. It lists the commands but builds none of their
+    options: it serves --help and the usage errors of a call that does not
+    start with a command."""
     parser = argparse.ArgumentParser(
         prog="tanhdrift",
         description="Regime-switching stock dynamics, CDS signal extraction, decile backtests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, opts in COMMANDS.items():
-        p = sub.add_parser(name, help=f"{name} command")
-        if name != command:
-            continue
-        p.add_argument("--config", default=None, help="JSON config file with defaults for this command")
-        for o in opts:
-            if o.type is bool:
-                p.add_argument(_flag(o.name), action="store_true", help=o.help)
-            else:
-                p.add_argument(_flag(o.name), type=o.type, default=o.default, help=o.help)
+    for name in COMMANDS:
+        sub.add_parser(name, help=f"{name} command")
     return parser
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command's options: the subparser the top-level
+    parser would hand them to, built on its own."""
+    parser = argparse.ArgumentParser(prog=f"tanhdrift {command}")
+    parser.set_defaults(command=command)
+    parser.add_argument("--config", default=None,
+                        help="JSON config file with defaults for this command")
+    for o in COMMANDS[command]:
+        if o.type is bool:
+            parser.add_argument(_flag(o.name), action="store_true", help=o.help)
+        else:
+            parser.add_argument(_flag(o.name), type=o.type, default=o.default, help=o.help)
+    return parser
+
+
+def _parse(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace:
+    args, extra = parser.parse_known_args(tokens)
+    if extra:
+        # the top-level parser reports what its subparser leaves over
+        _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 # The JSON types a config value may take, by option type; null also goes
@@ -254,6 +270,18 @@ def _params(opts: dict) -> model.ModelParams:
     return model.ModelParams(nu=opts["nu"], sigma=opts["sigma"], x_star=opts["x_star"])
 
 
+def _fp_grid(lo: float, width: float, dx: float, dt_step: float, flag: str) -> fp.GridSpec:
+    """The PDE grid of spacing dx from lo that covers lo + width. flag
+    names the option dx came from, in the error for a dx that gives no
+    grid."""
+    if not (dx > 0):
+        raise ValidationError(f"{flag} must be > 0, got {dx!r}")
+    if not math.isfinite(width / dx):
+        raise ValidationError(f"{flag}={dx!r} is too small for a grid {width!r} wide")
+    n_x = int(math.ceil(width / dx)) + 1
+    return fp.GridSpec(x_min=lo, x_max=lo + (n_x - 1) * dx, n_x=n_x, dt=dt_step)
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -292,8 +320,7 @@ def cmd_density(opts: dict) -> int:
         fdt = opts["fp_dt"] if opts["fp_dt"] is not None else t / 1000.0
         lo = min(x_min, x0 - margin) - 2 * dx
         hi = max(x_max, x0 + margin) + 2 * dx
-        n_x = int(math.ceil((hi - lo) / dx)) + 1
-        grid = fp.GridSpec(x_min=lo, x_max=lo + (n_x - 1) * dx, n_x=n_x, dt=fdt)
+        grid = _fp_grid(lo, hi - lo, dx, fdt, "--fp-dx")
         field = fp.solve_fp(params, x0, t, grid)
         fp_col = np.interp(centers, grid.x, field.values)
         columns["fokker_planck"] = fp_col
@@ -417,9 +444,7 @@ def cmd_simulate(opts: dict) -> int:
 def _fp_error(params, x0, horizon, dx, dt_step) -> tuple[float, fp.DensityField]:
     margin = fp.boundary_margin(params, horizon)
     pad = params.sigma * math.sqrt(horizon)
-    lo = x0 - margin - pad
-    n_x = int(math.ceil(2.0 * (margin + pad) / dx)) + 1
-    grid = fp.GridSpec(x_min=lo, x_max=lo + (n_x - 1) * dx, n_x=n_x, dt=dt_step)
+    grid = _fp_grid(x0 - margin - pad, 2.0 * (margin + pad), dx, dt_step, "--dx")
     field = fp.solve_fp(params, x0, horizon, grid)
     closed = np.asarray(model.density_profile(params, grid.x, x0, horizon))
     region = closed > 1e-6 * float(np.max(closed))
@@ -480,31 +505,27 @@ def cmd_synth_universe(opts: dict) -> int:
 
 
 def cmd_extract(opts: dict) -> int:
+    for name in ("window", "stride"):
+        if opts[name] < 1:
+            raise ValidationError(f"{_flag(name)} must be >= 1, got {opts[name]}")
     rows = universe.load_manifest(opts["manifest"])
     if not rows:
         raise EmptyResult(f"manifest {opts['manifest']} lists no names")
-    tables: list[cds.Signals] = []
-    errors: list[tuple[str, str]] = []
-    for name, _price_path, spread_path in rows:
-        try:
-            series = cds.load_spread_series(spread_path, name=name)
-            tables.append(
-                cds.rolling_extract(series, opts["window"], opts["stride"], opts["min_window"])
-            )
-        except (DataError, ValidationError) as exc:
-            errors.append((name, str(exc)))
+    table, errors = cds.extract_universe(
+        [(name, spread_path) for name, _price_path, spread_path in rows],
+        opts["window"], opts["stride"], opts["min_window"],
+    )
     for name, reason in errors:
         print(f"error: {name}: {reason}", file=sys.stderr)
-    if not tables:
+    if not len(table):
         raise EmptyResult("no name produced any signal record")
-    # names are unique and each table is in window_end order
-    tables.sort(key=lambda t: t.name)
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    cds.write_signals_csv(tables, out)
+    cds.write_signals_csv(table, out)
     _write_resolved_config("extract", opts, out.parent)
+    # a name has rows unless it failed
     print(
-        f"wrote {sum(map(len, tables))} records for {len(tables)} names to {out}"
+        f"wrote {len(table)} records for {len(rows) - len(errors)} names to {out}"
         + (f" ({len(errors)} names failed)" if errors else "")
     )
     return EXIT_OK
@@ -527,7 +548,8 @@ def cmd_backtest(opts: dict) -> int:
     payload = report.to_dict()
     if opts["truth"] is not None:
         true_nu = universe.load_truth(opts["truth"])
-        extracted = {name: float(np.median(s.nu_hat)) for name, s in signals.items()}
+        extracted = {name: float(np.median(signals.nu_hat[rows]))
+                     for name, rows in signals.by_name().items()}
         rho = portfolio.signal_quality(true_nu, extracted)
         if math.isnan(rho):
             payload["spearman_true_extracted"] = None
@@ -580,12 +602,16 @@ _DISPATCH = {
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s")
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    if not argv or argv[0] not in COMMANDS:
+        parser = _build_parser()
+        parser.parse_args(argv)  # prints the help or a usage error, and exits
+        parser.error(f"expected a command first, got {argv[0]!r}")
+    parser = _command_parser(argv[0])
+    args = _parse(parser, argv[1:])
     try:
         if args.config is not None:
             # config tokens go ahead of the explicit flags, which win
-            args = parser.parse_args(argv[:1] + _config_argv(args.command, args.config) + argv[1:])
+            args = _parse(parser, _config_argv(args.command, args.config) + argv[1:])
         opts = _resolve_options(args)
         return _DISPATCH[args.command](opts)
     except ValidationError as exc:

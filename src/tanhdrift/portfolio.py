@@ -8,7 +8,9 @@ modeled; turnover is reported so cost assumptions can be applied
 externally.
 
 A name's prices are a PriceSeries, the (datetime64[D] dates, prices)
-arrays of universe.load_price_series, and its signals a cds.Signals table.
+arrays of universe.load_price_series. The signals of all names are one
+cds.Signals table, in any row order; the backtest groups it by name with
+one stable sort of its name column.
 
 No lookahead by construction: weights set on a rebalance date use only
 signals stamped window_end <= that date and prices up to it, and earn
@@ -16,8 +18,8 @@ returns only from the following trading day.
 
 As-of semantics. A name's signal on date d is, among its rows with
 window_end <= d, the one with the latest (window_end, window_start);
-of rows with equal keys the first in table order wins. Its realized
-variance (rank_by "mu_tilde") uses the name's price days in
+of a name's rows with equal keys the first in table order wins. Its
+realized variance (rank_by "mu_tilde") uses the name's price days in
 [window_start, window_end] and needs at least 3 of them. A name enters
 the ranking on d only if it has a price on d. Of duplicate price dates
 the last price counts.
@@ -173,10 +175,13 @@ def _price_arrays(name: str, series: PriceSeries) -> tuple[np.ndarray, np.ndarra
     return days[last], prices[last]
 
 
-def _signal_arrays(table: Signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """window_start, window_end and nu_hat, sorted by (window_end,
-    window_start); of equal keys the first row is kept."""
-    starts, ends, nu = table.window_start, table.window_end, table.nu_hat
+def _signal_arrays(
+    table: Signals, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """window_start, window_end and nu_hat of the given rows of table,
+    which are in table order, sorted by (window_end, window_start); of
+    equal keys the first row is kept."""
+    starts, ends, nu = table.window_start[rows], table.window_end[rows], table.nu_hat[rows]
     order = np.lexsort((starts, ends))
     starts, ends, nu = starts[order], ends[order], nu[order]
     first = np.append(True, (ends[1:] != ends[:-1]) | (starts[1:] != starts[:-1]))
@@ -203,7 +208,7 @@ def _realized_vars(
 
 def backtest(
     prices: dict[str, PriceSeries],
-    signals: dict[str, Signals],
+    signals: Signals,
     schedule: RebalanceSchedule | None = None,
     rank_by: str = "nu",
 ) -> BacktestReport:
@@ -250,8 +255,9 @@ def backtest(
     reb_rows = np.searchsorted(all_days, reb_days)
 
     # Days x names price panel (NaN where a name has no price) over the
-    # names that have both prices and signals, in signal order.
-    names = [n for n, table in signals.items() if len(table) and n in arrays]
+    # names that have both prices and signals, in name order.
+    groups = signals.by_name()
+    names = [n for n in groups if n in arrays]
     column = {name: j for j, name in enumerate(names)}
     panel = np.full((len(all_days), len(names)), np.nan)
     eligible = np.zeros((len(reb_days), len(names)), dtype=bool)
@@ -260,7 +266,7 @@ def backtest(
     for j, name in enumerate(names):
         days, px = arrays[name]
         panel[np.searchsorted(all_days, days), j] = px
-        starts, ends, nu = _signal_arrays(signals[name])
+        starts, ends, nu = _signal_arrays(signals, groups[name])
         latest = np.searchsorted(ends, reb_days, side="right") - 1
         ok = (latest >= 0) & ~np.isnan(panel[reb_rows, j])
         aligned |= bool(ok.any())
@@ -288,7 +294,7 @@ def backtest(
             snapshots[row] = rank_deciles(UniverseSnapshot(date=d, entries=entries))
         else:
             snapshots[row] = PortfolioSnapshot(date=d, weights={})
-    if any(map(len, signals.values())):
+    if len(signals):
         if peak == 0 and aligned:
             raise TooFewPriceDays(
                 "signals and prices align, but no signal window holds the 3 price days "

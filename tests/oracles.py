@@ -33,19 +33,24 @@ read_csv_reference and the five *_reference loaders are the row-wise
 csv.reader loaders that the columnar reader (cds._read_csv on
 numpy.loadtxt) replaced; the loaders are checked against them.
 
-The package holds signals and prices as per-name columns (cds.Signals,
-(dates, prices) arrays). The references keep the rows they were written
-for, one SignalRecord per window and one (dt.date, float) tuple per
-price; as_rows turns the columns into those rows.
+fits_reference and rolling_extract_reference are the per-name fit that
+cds.extract_universe (every window of many names in one pass) replaced,
+kept verbatim but for the name column of the table they return.
+
+The package holds signals as one table of columns for any number of
+names (cds.Signals) and prices as per-name (dates, prices) arrays. The
+references keep the rows they were written for, one SignalRecord per
+window in a list per name and one (dt.date, float) tuple per price;
+as_rows turns the columns into those rows.
 """
 
 import csv
 import datetime as dt
-import itertools
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -107,16 +112,19 @@ class SignalRecord:
 
 
 def as_rows(value):
-    """The references' rows of per-name columns: a Signals table becomes
-    its SignalRecords, a (dates, prices) pair its (dt.date, float)
-    tuples, and a dict of either the same dict of rows."""
+    """The references' rows of columns: a Signals table becomes a dict of
+    each name's SignalRecords in table order, its names in the order of
+    their first rows; a (dates, prices) pair becomes its (dt.date, float)
+    tuples, and a dict of pairs the same dict of rows."""
     if isinstance(value, dict):
         return {key: as_rows(v) for key, v in value.items()}
     if isinstance(value, Signals):
-        columns = (value.window_start, value.window_end, value.nu_hat, value.a_tilde,
-                   value.r_squared, value.n_obs, value.slope_stderr)
-        return list(map(SignalRecord, itertools.repeat(value.name),
-                        *(c.tolist() for c in columns)))
+        columns = (value.name, value.window_start, value.window_end, value.nu_hat,
+                   value.a_tilde, value.r_squared, value.n_obs, value.slope_stderr)
+        out: dict[str, list[SignalRecord]] = {}
+        for rec in map(SignalRecord, *(c.tolist() for c in columns)):
+            out.setdefault(rec.name, []).append(rec)
+        return out
     dates, prices = value
     return list(zip(dates.tolist(), prices.tolist()))
 
@@ -271,6 +279,74 @@ def exact_log_default_prob(nu, s_star, prices):
     directly as -log1p((S/S_star)**(2 nu))."""
     prices = np.asarray(prices, dtype=float)
     return -np.log1p((prices / s_star) ** (2.0 * nu))
+
+
+# ---------------------------------------------------------------------------
+# Per-name extraction reference: one batched fit per name, as cds fitted
+# before a pass spanned names.
+
+
+def fits_reference(series: SpreadSeries, starts: Sequence[int], w: int) -> Signals:
+    """OLS of ln(spread) on ln(price) over the w observations from each
+    index in starts, all windows at once.
+
+    Windows with a log-price sample std below 1e-10 have no slope and
+    get no row; so do one-observation windows, whose sample std is
+    undefined. A window of constant spreads fits slope 0 with r_squared
+    1 and stderr 0. Every other window gets what scipy.stats.linregress
+    gives for it, bit for bit: its moments are np.cov(x, y, bias=1),
+    centred rows times their own transpose, scaled by 1/w.
+    """
+    idx = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(w)
+    xy = np.stack([np.log(series.price)[idx], np.log(series.spread)[idx]], axis=1)
+    keep = np.std(xy[:, 0], axis=1, ddof=1) >= 1e-10 if w > 1 else np.zeros(len(idx), bool)
+    first, xy = idx[keep, 0], xy[keep]
+    mean = xy.mean(axis=2)
+    d = xy - mean[:, :, None]
+    cov = d @ d.transpose(0, 2, 1) * (1.0 / w)
+    ssxm, ssxym, ssym = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    flat = np.ptp(xy[:, 1], axis=1) == 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+        slope = np.where(flat, 0.0, ssxym / ssxm)
+        # Squared in Python, as linregress squares its scalar r: libm pow
+        # can differ from r * r in the last bit.
+        r2 = np.where(flat, 1.0, [v**2 for v in r.tolist()])
+        stderr = np.sqrt((1.0 - r2) * ssym / ssxm / (w - 2)) if w > 2 else np.zeros_like(r2)
+    intercept = np.where(flat, xy[:, 1, 0], mean[:, 1] - slope * mean[:, 0])
+    return Signals([series.name] * len(first), series.dates[first],
+                   series.dates[first + (w - 1)], -slope / 2.0, intercept, np.minimum(r2, 1.0),
+                   np.full(len(first), w), stderr)
+
+
+def rolling_extract_reference(
+    series: SpreadSeries,
+    window_len: int,
+    stride: int,
+    min_window: int = 15,
+) -> Signals:
+    """Sliding-window extraction: one row per window, in window order.
+
+    Windows are window_len consecutive observations advanced by stride;
+    a trailing partial window is not emitted. Windows that fail (fewer
+    than min_window observations, or degenerate prices) are skipped,
+    with one warning per name giving their count and the reason; if no
+    window succeeds, EmptyResult is raised.
+    """
+    if window_len < 1 or stride < 1:
+        raise ValidationError(f"window_len and stride must be >= 1, got {window_len}, {stride}")
+    starts = range(0, len(series) - window_len + 1, stride)
+    short = window_len < min_window
+    table = fits_reference(series, [] if short else starts, window_len)
+    if len(table) < len(starts):
+        reason = (f"{window_len} < {min_window} observations" if short
+                  else "log-price sample std < 1e-10 or undefined, no slope")
+        logging.getLogger("tanhdrift.cds").warning(
+            "%s: %d of %d windows skipped: %s",
+            series.name, len(starts) - len(table), len(starts), reason)
+    if not len(table):
+        raise EmptyResult(f"{series.name}: no window produced a usable fit")
+    return table
 
 
 # ---------------------------------------------------------------------------

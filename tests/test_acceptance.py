@@ -12,7 +12,7 @@ from scipy.stats import norm
 
 import tanhdrift as td
 from tanhdrift import fokker_planck as fp
-from tanhdrift.cds import load_spread_series, rolling_extract
+from tanhdrift.cds import extract_universe, load_spread_series, rolling_extract
 from tanhdrift.cli import EXIT_OK, main
 from tanhdrift.mc import SimConfig, mc_transition_prob
 from tanhdrift.portfolio import RebalanceSchedule, backtest, signal_quality
@@ -233,12 +233,10 @@ def test_criterion_09_end_to_end_pipeline(tmp_path):
         spec = UniverseSpec(n_names=100, days=504, seed=2024, noise_sigma=noise)
         generate_universe(spec, out)
         rows = load_manifest(out / "manifest.csv")
-        signals = {
-            name: rolling_extract(load_spread_series(sf, name=name), 21, 21)
-            for name, _pf, sf in rows
-        }
+        signals, errors = extract_universe([(name, sf) for name, _pf, sf in rows], 21, 21)
+        assert errors == []
         truth = load_truth(out / "truth.csv")
-        extracted = {n: float(np.median(table.nu_hat)) for n, table in signals.items()}
+        extracted = {n: float(np.median(signals.nu_hat[r])) for n, r in signals.by_name().items()}
         rho = signal_quality(truth, extracted)
         prices = {name: load_price_series(pf) for name, pf, _sf in rows}
         report = backtest(prices, signals, RebalanceSchedule(every=21))

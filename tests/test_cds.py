@@ -4,7 +4,10 @@ import csv
 import datetime as dt
 import logging
 import math
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +16,13 @@ from hypothesis import strategies as st
 from scipy.stats import linregress
 
 import tanhdrift as td
+from tanhdrift import cds
 from tanhdrift.cds import (
     Signals,
     SpreadModelConfig,
     SpreadSeries,
     extract_nu,
+    extract_universe,
     implied_s_star,
     load_signals_csv,
     load_spread_series,
@@ -41,7 +46,7 @@ def _series(prices, spreads, name="X"):
 
 def _fit(series, window_start, window_end, **kwargs):
     """extract_nu's one row, as a record."""
-    (rec,) = oracles.as_rows(extract_nu(series, window_start, window_end, **kwargs))
+    ((rec,),) = oracles.as_rows(extract_nu(series, window_start, window_end, **kwargs)).values()
     return rec
 
 
@@ -102,19 +107,42 @@ def test_series_holds_read_only_copies():
 def test_signals_checks_every_row_and_holds_read_only_copies():
     d = _dates(3)
     nu = np.array([0.5, 1.0, 1.5])
-    table = Signals("X", d, d, nu, [3.0] * 3, [0.9, math.nan, 1.0], [21] * 3, [0.1] * 3)
+    names = ["X", "Y", "X"]
+    table = Signals(names, d, d, nu, [3.0] * 3, [0.9, math.nan, 1.0], [21] * 3, [0.1] * 3)
     nu[0] = 9.0
-    assert len(table) == 3 and table.nu_hat[0] == 0.5
+    names[0] = "Z"
+    assert len(table) == 3 and table.nu_hat[0] == 0.5 and table.name.tolist() == ["X", "Y", "X"]
     assert table.window_end.dtype == np.dtype("M8[D]") and table.n_obs.dtype == np.int64
+    assert table.name.dtype == object
     with pytest.raises(ValueError):
         table.a_tilde[0] = 1.0
+    with pytest.raises(ValueError):
+        table.name[0] = "Z"
     with pytest.raises(td.ValidationError, match=r"^nu_hat, a_tilde must be finite: 1\.0, inf$"):
-        Signals("X", d, d, [0.5, 1.0, 1.5], [3.0, math.inf, -math.inf], [1.0] * 3, [21] * 3,
-                [0.1] * 3)
+        Signals(["X"] * 3, d, d, [0.5, 1.0, 1.5], [3.0, math.inf, -math.inf], [1.0] * 3,
+                [21] * 3, [0.1] * 3)
     with pytest.raises(td.ValidationError, match=r"^r_squared out of \[0, 1\]: -0\.1$"):
-        Signals("X", d, d, [0.5] * 3, [3.0] * 3, [1.0, -0.1, 1.5], [21] * 3, [0.1] * 3)
+        Signals(["X"] * 3, d, d, [0.5] * 3, [3.0] * 3, [1.0, -0.1, 1.5], [21] * 3, [0.1] * 3)
     with pytest.raises(td.ValidationError, match="shape"):
-        Signals("X", d, d[:2], [0.5] * 3, [3.0] * 3, [1.0] * 3, [21] * 3, [0.1] * 3)
+        Signals(["X"] * 3, d, d[:2], [0.5] * 3, [3.0] * 3, [1.0] * 3, [21] * 3, [0.1] * 3)
+    with pytest.raises(td.ValidationError, match="shape"):
+        Signals("X", d, d, [0.5] * 3, [3.0] * 3, [1.0] * 3, [21] * 3, [0.1] * 3)
+
+
+def test_signals_concat_take_and_by_name():
+    d = _dates(4)
+    a = Signals(["B", "A"], d[:2], d[:2], [1.0, 2.0], [0.0] * 2, [1.0] * 2, [21] * 2, [0.0] * 2)
+    b = Signals(["B", "C"], d[2:], d[2:], [3.0, 4.0], [0.0] * 2, [1.0] * 2, [21] * 2, [0.0] * 2)
+    table = Signals.concat([a, b])
+    assert table.name.tolist() == ["B", "A", "B", "C"]
+    assert table.nu_hat.tolist() == [1.0, 2.0, 3.0, 4.0]
+    groups = table.by_name()
+    assert list(groups) == ["A", "B", "C"]
+    assert [rows.tolist() for rows in groups.values()] == [[1], [0, 2], [3]]
+    assert table.take(groups["B"]).window_end.tolist() == [d[0], d[2]]
+    empty = Signals.concat([])
+    assert len(empty) == 0 and empty.by_name() == {} and empty.name.dtype == object
+    assert len(table.take(slice(0, 0))) == 0
 
 
 def test_spread_config_normalization():
@@ -406,7 +434,7 @@ def test_rolling_every_window_matches_per_window_ols(case):
     records = rolling_extract(series, window_len, stride, min_window)
     assert len(records) == len(expected)
     close = dict(rel=1e-12, abs=1e-12)
-    for rec, (i, x, y) in zip(oracles.as_rows(records), expected):
+    for rec, (i, x, y) in zip(oracles.as_rows(records)["X"], expected):
         assert (rec.window_start, rec.window_end) == (series.dates[i], series.dates[i + window_len - 1])
         assert rec.n_obs == window_len
         if np.ptp(y) == 0.0:
@@ -457,16 +485,15 @@ def test_spread_series_bad_row(tmp_path):
         load_spread_series(path)
 
 
-def test_signals_csv_roundtrip(tmp_path):
-    tables = [
-        Signals("A", [dt.date(2021, 1, 4), dt.date(2021, 2, 2)],
-                [dt.date(2021, 2, 1), dt.date(2021, 3, 1)], [1.25, 1.30], [7.5, 7.6],
-                [0.99, 0.98], [21, 21], [0.01, 0.02]),
-        Signals("B", [dt.date(2021, 1, 4)], [dt.date(2021, 2, 1)], [0.75], [6.5], [0.97], [21],
-                [0.03]),
-    ]
+def test_signals_csv_roundtrip(tmp_path, monkeypatch):
+    jan4, feb1, feb2, mar1 = (dt.date(2021, 1, 4), dt.date(2021, 2, 1), dt.date(2021, 2, 2),
+                              dt.date(2021, 3, 1))
+    table = Signals(["A", "A", "B"], [jan4, feb2, jan4], [feb1, mar1, feb1],
+                    [1.25, 1.30, 0.75], [7.5, 7.6, 6.5], [0.99, 0.98, 0.97], [21, 21, 21],
+                    [0.01, 0.02, 0.03])
     path = tmp_path / "signals.csv"
-    write_signals_csv(tables, path)
+    monkeypatch.setattr(cds, "_WRITE_ROWS", 2)  # rows formatted per write
+    write_signals_csv(table, path)
     assert path.read_text().splitlines() == [
         "name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs",
         "A,2021-01-04,2021-02-01,1.25,7.5,0.99,21",
@@ -474,12 +501,10 @@ def test_signals_csv_roundtrip(tmp_path):
         "B,2021-01-04,2021-02-01,0.75,6.5,0.97,21",
     ]
     loaded = load_signals_csv(path)
-    assert list(loaded) == ["A", "B"]
-    for table in tables:
-        got = loaded[table.name]
-        for column in ("window_start", "window_end", "nu_hat", "a_tilde", "r_squared", "n_obs"):
-            assert np.array_equal(getattr(got, column), getattr(table, column))
-        assert np.isnan(got.slope_stderr).all()
+    for column in ("name", "window_start", "window_end", "nu_hat", "a_tilde", "r_squared",
+                   "n_obs"):
+        assert np.array_equal(getattr(loaded, column), getattr(table, column))
+    assert np.isnan(loaded.slope_stderr).all()
 
 
 # ---------------------------------------------------------------------------
@@ -581,3 +606,107 @@ def test_loader_empty_file_rule(tmp_path, kind):
     with pytest.raises(empty) as info:
         load(path)
     assert (info.type is td.EmptyResult) == (empty is td.EmptyResult)
+
+
+# ---------------------------------------------------------------------------
+# whole-universe extraction against the per-name reference
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _extract_logged(run):
+    """(result or exception type and text, log messages) of run()."""
+    handler, logger = _Records(), logging.getLogger("tanhdrift.cds")
+    logger.addHandler(handler)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run()
+    except td.TanhDriftError as exc:
+        result = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+def _column_bits(table):
+    return [getattr(table, c).tolist() if c == "name" else getattr(table, c).tobytes()
+            for c in cds._SIGNAL_COLUMNS]
+
+
+# A name is a series from small value sets (constant-price windows, flat
+# spreads, repeated values), one observation long at times, or a file
+# that fails to load.
+_universe = st.tuples(
+    st.lists(st.one_of(
+        st.integers(1, 30).flatmap(lambda n: st.tuples(
+            st.lists(st.sampled_from([40.0, 55.0, 55.0, 70.0, 123.5]), min_size=n, max_size=n),
+            st.lists(st.sampled_from([3.0, 3.0, 17.25, 60.0, 900.0]), min_size=n, max_size=n),
+        )),
+        st.sampled_from(["missing", "bad row", "non-positive"]),
+    ), min_size=1, max_size=7),
+    st.integers(1, 12),  # window_len
+    st.integers(1, 25),  # stride, often > window_len
+    st.integers(0, 20),  # min_window, sometimes > window_len
+    st.integers(1, 6),  # windows per pass: names straddle passes
+    st.permutations(range(7)),  # manifest order is not name order
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_universe)
+def test_extract_universe_equals_per_name_reference(case):
+    names_data, window_len, stride, min_window, per_pass, order = case
+    names = [f"N{j}" for j in order if j < len(names_data)]
+    with tempfile.TemporaryDirectory() as tmp:
+        sources = []
+        for name, data in zip(names, names_data):
+            path = Path(tmp) / f"{name}.csv"
+            sources.append((name, path))
+            if data == "missing":
+                continue
+            if isinstance(data, str):
+                value = "x" if data == "bad row" else "-1.0"
+                path.write_text(f"date,price,spread_bps\n2021-01-04,10.0,{value}\n")
+                continue
+            with open(path, "w") as fh:
+                fh.write("date,price,spread_bps\n")
+                for d, p, z in zip(_dates(len(data[0])), *data):
+                    fh.write(f"{d.isoformat()},{p!r},{z!r}\n")
+
+        def reference():
+            tables, errors = [], []
+            for name, path in sources:
+                try:
+                    series = load_spread_series(path, name=name)
+                    tables.append(
+                        oracles.rolling_extract_reference(series, window_len, stride, min_window)
+                    )
+                except td.DataError as exc:
+                    errors.append((name, str(exc)))
+            tables.sort(key=lambda t: t.name[0])
+            return Signals.concat(tables), errors
+
+        with mock.patch.object(cds, "_PASS_WINDOWS", per_pass):
+            got, got_log = _extract_logged(
+                lambda: extract_universe(sources, window_len, stride, min_window)
+            )
+        want, want_log = _extract_logged(reference)
+    assert got_log == want_log
+    (got, got_errors), (want, want_errors) = got, want
+    assert got_errors == want_errors
+    assert _column_bits(got) == _column_bits(want)
+
+
+def test_extract_universe_checks_windows_before_reading(tmp_path):
+    # no source is read: the missing file would be an error of its own
+    for window_len, stride in ((0, 1), (5, 0)):
+        with pytest.raises(td.ValidationError, match="must be >= 1"):
+            extract_universe([("A", tmp_path / "absent.csv")], window_len, stride)

@@ -21,7 +21,7 @@ from tanhdrift.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
-    _build_parser,
+    _command_parser,
     main,
 )
 from tanhdrift.cds import load_signals_csv, load_spread_series, rolling_extract
@@ -253,6 +253,24 @@ def test_fp_check_fails_on_coarse_grid(capsys):
     assert code == EXIT_TOLERANCE
 
 
+@pytest.mark.parametrize("dx, message", [("0", "--dx must be > 0, got 0.0"),
+                                         ("-0.01", "--dx must be > 0, got -0.01"),
+                                         ("5e-324", "--dx=5e-324 is too small for a grid")])
+def test_fp_check_non_positive_dx_names_the_flag(capsys, dx, message):
+    code = _run("fp-check", "--nu", 1, "--sigma", 0.2, "--x0", 0, "--horizon", 1,
+                "--dt", 0.01, "--dx", dx)
+    assert code == EXIT_VALIDATION
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dx", ["0", "-0.01"])
+def test_density_non_positive_fp_dx_names_the_flag(capsys, dx):
+    code = _run("density", "--nu", 1, "--sigma", 0.2, "--x0", 0, "--t", 1, "--compare-fp",
+                "--fp-dx", dx)
+    assert code == EXIT_VALIDATION
+    assert f"--fp-dx must be > 0, got {float(dx)!r}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth-universe
 
@@ -396,8 +414,9 @@ def test_extract_noiseless_recovers_truth_wide_ratio(tmp_path):
     assert _run("extract", "--manifest", out / "manifest.csv", "--window", 21,
                 "--stride", 21, "--out", sig) == EXIT_OK
     truth = load_truth(out / "truth.csv")
-    for name, table in load_signals_csv(sig).items():
-        assert table.nu_hat == pytest.approx([truth[name]] * len(table), abs=1e-6)
+    signals = load_signals_csv(sig)
+    for name, rows in signals.by_name().items():
+        assert signals.nu_hat[rows] == pytest.approx([truth[name]] * len(rows), abs=1e-6)
 
 
 def test_noise_widens_stderr_and_truth_stays_in_ci(tmp_path):
@@ -428,6 +447,16 @@ def test_noise_widens_stderr_and_truth_stays_in_ci(tmp_path):
     assert coverage > 0.95
 
 
+@pytest.mark.parametrize("flag", ["--window", "--stride"])
+def test_extract_window_and_stride_below_one_name_the_flag(tmp_path, capsys, flag):
+    # checked before any file is read: the manifest does not exist
+    code = _run("extract", "--manifest", tmp_path / "absent.csv", "--out", tmp_path / "s.csv",
+                flag, 0)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err == f"validation error: {flag} must be >= 1, got 0\n"
+
+
 def test_extract_empty_manifest_is_empty_result(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("name,price_file,spread_file\n")
@@ -451,7 +480,7 @@ def test_extract_isolates_corrupt_names(tmp_path, capsys):
     assert code == EXIT_OK
     assert "N002" in captured.err
     assert "N000: spread must be finite > 0, got inf" in captured.err
-    names = set(load_signals_csv(sig))
+    names = set(load_signals_csv(sig).name)
     assert names == {"N001", "N003"}
 
 
@@ -822,11 +851,40 @@ def test_unknown_command_exits_2(capsys):
     assert _exit_code() == EXIT_VALIDATION
 
 
+def test_usage_errors_and_help_keep_the_subcommand_layout(capsys):
+    # a command's own parser reports leftovers as the top-level parser does,
+    # and its help and errors carry the prog of a subparser
+    pad = "\n" + " " * 17
+    top = "usage: tanhdrift [-h]" + pad + "{" + ",".join(COMMANDS) + "}" + pad + "...\n"
+    for argv, tail in ((["extract", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+                       (["bogus"], "argument command: invalid choice: 'bogus'"),
+                       ([], "the following arguments are required: command")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(top + "tanhdrift: error: " + tail)
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--window", "x"])
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tanhdrift extract [-h] [--config CONFIG]")
+    assert err.endswith("tanhdrift extract: error: argument --window: invalid int value: 'x'\n")
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: tanhdrift {command} [-h]")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert all(f"    {command}" in out for command in COMMANDS)
+
+
 def test_only_the_named_command_gets_its_options():
     # another command's options are not built, and so not parsed
-    parser = _build_parser("default-prob")
-    args = parser.parse_args(["default-prob", "--nu", "1", "--sigma", "0.2", "--s0", "5"])
+    parser = _command_parser("default-prob")
+    args = parser.parse_args(["--nu", "1", "--sigma", "0.2", "--s0", "5"])
     assert (args.command, args.nu, args.horizons) == ("default-prob", 1.0, [25.0, 100.0, 400.0])
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["simulate", "--nu", "1"])
+        parser.parse_args(["--nu", "1", "--n-paths", "5"])
     assert exc.value.code == EXIT_VALIDATION

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import tanhdrift as td
 from tanhdrift.cds import SpreadSeries, load_signals_csv, load_spread_series
+from tanhdrift.portfolio import RebalanceSchedule, backtest
 from tanhdrift.universe import load_manifest, load_price_series, load_truth
 
 import oracles
@@ -259,3 +260,35 @@ def test_manifest_rejects_names_the_writers_cannot_round_trip(tmp_path, name):
     line = 4 + len(name.splitlines()) - 1
     with pytest.raises(td.DataError, match=rf"manifest\.csv:{line}: name .* (holds|repeats)"):
         load_manifest(path)
+
+
+def test_signals_table_of_interleaved_names_and_duplicate_keys(tmp_path):
+    # One table for the whole file, in file order: through as_rows it is the
+    # reference's dict of per-name records, and of two rows of a name with
+    # the same (window_end, window_start) the backtest takes the first.
+    days = [dt.date(2021, 1, 4) + dt.timedelta(days=i) for i in range(6)]
+    names = [f"N{i:02d}" for i in range(10)]
+    lines = ["name,window_start,window_end,nu_hat,a_tilde,r_squared,n_obs"]
+    for i in reversed(range(10)):  # names interleave: every name's row, then again
+        lines.append(f"{names[i]},{days[0]},{days[1]},{0.1 * i!r},1.0,0.5,21")
+    for i in range(10):
+        lines.append(f"{names[i]},{days[0]},{days[1]},{0.1 * (10 - i)!r},2.0,0.75,21")
+    path = tmp_path / "signals.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = load_signals_csv(path)
+    assert table.name.tolist() == names[::-1] + names
+    assert _outcome(lambda p: oracles.as_rows(load_signals_csv(p)), path) == _outcome(
+        oracles.load_signals_csv_reference, path)
+
+    prices = {n: (np.array(days, dtype="M8[D]"), np.linspace(100.0, 101.0 + i, 6))
+              for i, n in enumerate(names)}
+    schedule = RebalanceSchedule(every=2)
+    report = backtest(prices, table, schedule)
+    first = backtest(prices, table.take(slice(0, 10)), schedule)
+    second = backtest(prices, table.take(slice(10, 20)), schedule)
+    weights = [s.weights for s in report.rebalances]
+    assert weights == [s.weights for s in first.rebalances]
+    assert weights != [s.weights for s in second.rebalances]
+    assert report.rebalances[1].weights["N09"] == 0.5  # the first rows rank by i
+    want = oracles.backtest_reference(oracles.as_rows(prices), oracles.as_rows(table), schedule)
+    assert report.to_dict() == want.to_dict()

@@ -35,13 +35,13 @@ def _days(n):
 
 
 def _signals(name, *rows):
-    """A Signals table of (window_end, nu_hat) or (window_end, nu_hat,
-    window_start) rows; a window starts 30 days before its end unless
-    given."""
+    """A Signals table of one name's (window_end, nu_hat) or (window_end,
+    nu_hat, window_start) rows; a window starts 30 days before its end
+    unless given."""
     ends = [row[0] for row in rows]
     starts = [row[2] if len(row) > 2 else row[0] - dt.timedelta(days=30) for row in rows]
     n = len(rows)
-    return Signals(name, starts, ends, [row[1] for row in rows], np.zeros(n), np.ones(n),
+    return Signals([name] * n, starts, ends, [row[1] for row in rows], np.zeros(n), np.ones(n),
                    np.full(n, 21), np.zeros(n))
 
 
@@ -111,7 +111,7 @@ def test_two_sided_arithmetic_single_rebalance():
     days = _days(3)
     prices = {f"N{i:02d}": (days, [100.0] * 3) for i in range(10)}
     prices["N09"] = (days, [100.0, 102.0, 102.0])
-    signals = {f"N{i:02d}": _signals(f"N{i:02d}", (days[0], float(i))) for i in range(10)}
+    signals = Signals.concat(_signals(f"N{i:02d}", (days[0], float(i))) for i in range(10))
     report = backtest(prices, signals, RebalanceSchedule(every=999))
     assert report.rebalances[0].weights["N09"] == 0.5
     assert report.rebalances[0].weights["N00"] == -0.5
@@ -124,7 +124,7 @@ def test_two_sided_arithmetic_single_rebalance():
 
 def test_empty_signal_stream_runs_flat():
     prices = _flat_universe(10, 30)
-    report = backtest(prices, {}, RebalanceSchedule(every=10))
+    report = backtest(prices, Signals.concat([]), RebalanceSchedule(every=10))
     assert report.n_days == 29
     assert all(r == 0.0 for _, r in report.daily_returns)
     assert report.sharpe_annualized is None
@@ -134,7 +134,7 @@ def test_empty_signal_stream_runs_flat():
 def test_nine_name_universe_rejected():
     prices = _flat_universe(9, 30)
     days = _days(30)
-    signals = {n: _signals(n, (days[0], float(i))) for i, n in enumerate(prices)}
+    signals = Signals.concat(_signals(n, (days[0], float(i))) for i, n in enumerate(prices))
     with pytest.raises(td.UniverseTooSmall):
         backtest(prices, signals, RebalanceSchedule(every=10))
 
@@ -142,7 +142,7 @@ def test_nine_name_universe_rejected():
 def test_no_overlap_rejected():
     prices = _flat_universe(10, 10)
     late = _days(30)[-1]
-    signals = {n: _signals(n, (late, 1.0)) for n in prices}
+    signals = Signals.concat(_signals(n, (late, 1.0)) for n in prices)
     with pytest.raises(td.NoOverlap):
         backtest(prices, signals, RebalanceSchedule(every=5))
 
@@ -152,7 +152,9 @@ def test_windows_without_variance_days_are_not_no_overlap():
     # mu_tilde has no realized variance for any name, nu ranks them fine
     days = _days(10)
     prices = _flat_universe(10, 10)
-    signals = {n: _signals(n, (days[2], float(i), days[2])) for i, n in enumerate(prices)}
+    signals = Signals.concat(
+        _signals(n, (days[2], float(i), days[2])) for i, n in enumerate(prices)
+    )
     by_nu = backtest(prices, signals, RebalanceSchedule(every=1), rank_by="nu")
     assert by_nu.rebalances[2].weights
     with pytest.raises(td.TooFewPriceDays, match="3 price days"):
@@ -163,7 +165,7 @@ def test_non_finite_price_rejected():
     prices = _flat_universe(10, 5)
     prices["N03"][1][2] = math.inf
     with pytest.raises(td.ValidationError, match="N03"):
-        backtest(prices, {}, RebalanceSchedule(every=1))
+        backtest(prices, Signals.concat([]), RebalanceSchedule(every=1))
 
 
 def test_warmup_period_holds_nothing():
@@ -174,7 +176,7 @@ def test_warmup_period_holds_nothing():
         f"N{i:02d}": (days, [100.0 * math.exp(0.01 * rng.standard_normal()) for _ in days])
         for i in range(12)
     }
-    signals = {n: _signals(n, (days[30], float(i))) for i, n in enumerate(prices)}
+    signals = Signals.concat(_signals(n, (days[30], float(i))) for i, n in enumerate(prices))
     report = backtest(prices, signals, RebalanceSchedule(every=21))
     assert report.rebalances[0].weights == {}
     assert report.rebalances[1].weights == {}  # day 21 < day 30
@@ -190,7 +192,7 @@ def test_no_lookahead_weights_bit_identical():
         f"N{i:02d}": (days, 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(45))))
         for i in range(15)
     }
-    signals = {n: _signals(n, (days[0], float(i))) for i, n in enumerate(prices)}
+    signals = Signals.concat(_signals(n, (days[0], float(i))) for i, n in enumerate(prices))
     base = backtest(prices, signals, RebalanceSchedule(every=21))
     # perturb a price strictly after the first rebalance
     perturbed = {n: (d, p.copy()) for n, (d, p) in prices.items()}
@@ -204,7 +206,7 @@ def test_held_name_without_price_is_dropped():
     days = _days(4)
     prices = {f"N{i:02d}": (days, [100.0] * 4) for i in range(10)}
     prices["N09"] = ([days[0]], [100.0])  # vanishes after the rebalance
-    signals = {n: _signals(n, (days[0], float(i))) for i, n in enumerate(prices)}
+    signals = Signals.concat(_signals(n, (days[0], float(i))) for i, n in enumerate(prices))
     report = backtest(prices, signals, RebalanceSchedule(every=999))
     assert (days[1], "N09") in report.dropped
     assert report.daily_returns[0] == (days[1], 0.0)
@@ -217,10 +219,10 @@ def test_determinism_of_report():
         f"N{i:02d}": (days, 90.0 * np.exp(np.cumsum(0.008 * rng.standard_normal(40))))
         for i in range(11)
     }
-    signals = {
-        n: _signals(n, (days[10], float(i)), (days[30], float(10 - i)))
+    signals = Signals.concat(
+        _signals(n, (days[10], float(i)), (days[30], float(10 - i)))
         for i, n in enumerate(prices)
-    }
+    )
     a = backtest(prices, signals, RebalanceSchedule(every=10))
     b = backtest(prices, signals, RebalanceSchedule(every=10))
     assert a.daily_returns == b.daily_returns
@@ -231,10 +233,10 @@ def test_determinism_of_report():
 def test_latest_signal_no_lookahead_selection():
     days = _days(50)
     prices = _flat_universe(10, 50)
-    signals = {
-        n: _signals(n, (days[5], float(i)), (days[40], float(10 - i)))
+    signals = Signals.concat(
+        _signals(n, (days[5], float(i)), (days[40], float(10 - i)))
         for i, n in enumerate(prices)
-    }
+    )
     report = backtest(prices, signals, RebalanceSchedule(every=35, start=days[5]))
     # first rebalance (day 5) uses the day-5 signals, ranks ascending
     # with i; the second (day 40) uses the day-40 signals, ranks flipped
@@ -250,8 +252,10 @@ def test_mu_tilde_ranking_uses_realized_vol():
         zig = [100.0 * (1.0 + 0.001 * ((-1) ** k)) for k in range(40)]
         prices[f"N{i:02d}"] = (days, zig)
     prices["N09"] = (days, [100.0 * (1.0 + 0.2 * ((-1) ** k)) for k in range(40)])
-    signals = {n: _signals(n, (days[20], 1.0 + 0.01 * i, days[0])) for i, n in enumerate(prices)}
-    signals["N09"] = _signals("N09", (days[20], 0.5, days[0]))
+    signals = Signals.concat(
+        [_signals(n, (days[20], 1.0 + 0.01 * i, days[0])) for i, n in enumerate(prices)][:9]
+        + [_signals("N09", (days[20], 0.5, days[0]))]
+    )
     by_nu = backtest(prices, signals, RebalanceSchedule(every=999, start=days[20]), rank_by="nu")
     assert by_nu.rebalances[0].weights["N09"] == -0.5  # lowest nu_hat
     by_mu = backtest(prices, signals, RebalanceSchedule(every=999, start=days[20]), rank_by="mu_tilde")
@@ -266,8 +270,8 @@ def test_rescaling_spreads_leaves_weights_identical():
     days = _days(42)
     rng = np.random.default_rng(77)
     prices: dict[str, tuple[list[dt.date], np.ndarray]] = {}
-    base_signals: dict[str, Signals] = {}
-    scaled_signals: dict[str, Signals] = {}
+    base_signals: list[Signals] = []
+    scaled_signals: list[Signals] = []
     for i in range(12):
         name = f"N{i:02d}"
         nu = 0.4 + 0.2 * i
@@ -278,9 +282,9 @@ def test_rescaling_spreads_leaves_weights_identical():
         spreads = np.array([synth_spread(params, cfg, float(p)) for p in level])
         for scale, bucket in ((1.0, base_signals), (7.0, scaled_signals)):
             series = SpreadSeries(name, days, level, scale * spreads)
-            bucket[name] = rolling_extract(series, 21, 21)
-    a = backtest(prices, base_signals, RebalanceSchedule(every=21))
-    b = backtest(prices, scaled_signals, RebalanceSchedule(every=21))
+            bucket.append(rolling_extract(series, 21, 21))
+    a = backtest(prices, Signals.concat(base_signals), RebalanceSchedule(every=21))
+    b = backtest(prices, Signals.concat(scaled_signals), RebalanceSchedule(every=21))
     assert [s.weights for s in a.rebalances] == [s.weights for s in b.rebalances]
     assert a.daily_returns == b.daily_returns
 
@@ -293,7 +297,8 @@ def test_rescaling_spreads_leaves_weights_identical():
 def _panels(draw):
     """Prices and signals with holes, duplicate price dates, rows that
     share (window_end, window_start), tied nu_hat, names that never get
-    3 price days, names without signals, and signals without prices."""
+    3 price days, names without signals, signals without prices, and
+    names whose rows interleave in the signals table."""
     n_days = draw(st.sampled_from([25, 12, 40, 3]))
     n_names = draw(st.sampled_from([16, 24, 11, 9]))
     p_hole = draw(st.sampled_from([0.0, 0.05, 0.2]))
@@ -301,7 +306,7 @@ def _panels(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     days = _days(n_days)
     day_array = np.array(days, dtype="M8[D]")
-    prices, signals = {}, {}
+    prices, signals = {}, []
     for i in range(n_names):
         name = f"N{i:02d}"
         keep = rng.random(n_days) >= p_hole
@@ -319,8 +324,6 @@ def _panels(draw):
             d, p = d[order], p[order]
         prices[name] = (d, p)
         if rng.random() < 0.1:  # no signals
-            if rng.random() < 0.5:
-                signals[name] = _signals(name)
             continue
         rows = []
         for _ in range(int(rng.integers(1, 6))):
@@ -332,9 +335,12 @@ def _panels(draw):
             rows.append((end, nu_hat, start))
             if rng.random() < 0.3:  # same (window_end, window_start), another nu_hat
                 rows.append((end, nu_hat + 1.0, start))
-        signals[name] = _signals(name, *rows)
+        signals.append(_signals(name, *rows))
     if rng.random() < 0.3:
-        signals["X"] = _signals("X", (days[0], 1.0))
+        signals.append(_signals("X", (days[0], 1.0)))
+    signals = Signals.concat(signals)
+    if rng.random() < 0.5:  # names interleave; a name's duplicate keys may swap order
+        signals = signals.take(rng.permutation(len(signals)))
     every = draw(st.integers(1, 7))
     cut = days[draw(st.integers(0, n_days - 1))]
     return prices, signals, RebalanceSchedule(every=every), cut
@@ -342,10 +348,7 @@ def _panels(draw):
 
 def _until(table, cut):
     """The rows of a Signals table with window_end <= cut."""
-    keep = table.window_end <= np.datetime64(cut)
-    columns = ("window_start", "window_end", "nu_hat", "a_tilde", "r_squared", "n_obs",
-               "slope_stderr")
-    return Signals(table.name, *(getattr(table, c)[keep] for c in columns))
+    return table.take(table.window_end <= np.datetime64(cut))
 
 
 def _outcome(run, *args):
@@ -386,7 +389,7 @@ def test_backtest_matches_reference(case):
         early = _outcome(
             backtest,
             {n: (d[d <= cut], p[d <= cut]) for n, (d, p) in prices.items()},
-            {n: _until(table, cut) for n, table in signals.items()},
+            _until(signals, cut),
             schedule,
             rank_by,
         )
