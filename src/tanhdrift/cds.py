@@ -103,6 +103,13 @@ def _store_columns(table, dtypes: dict, what: str) -> None:
         object.__setattr__(table, label, values)
 
 
+def _require_increasing(name: str, dates: np.ndarray) -> None:
+    bad = np.flatnonzero(dates[1:] <= dates[:-1])
+    if bad.size:
+        raise ValidationError(f"{name}: observation dates must be strictly increasing "
+                              f"({dates[bad[0]]} then {dates[bad[0] + 1]})")
+
+
 @dataclass(frozen=True, eq=False)
 class SpreadSeries:
     """One instrument's observations as arrays, in date order.
@@ -127,10 +134,7 @@ class SpreadSeries:
             if bad.size:
                 raise NonPositiveValue(f"{self.name}: {label} must be finite > 0, "
                                        f"got {values[bad[0]]} on {dates[bad[0]]}")
-        bad = np.flatnonzero(dates[1:] <= dates[:-1])
-        if bad.size:
-            raise ValidationError(f"{self.name}: observation dates must be strictly increasing "
-                                  f"({dates[bad[0]]} then {dates[bad[0] + 1]})")
+        _require_increasing(self.name, dates)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -547,12 +551,29 @@ def _raise_first_error(
 
 
 def load_spread_series(path, name: str | None = None) -> SpreadSeries:
-    """Read a per-name CSV with header date,price,spread_bps (ISO dates)."""
+    """Read a per-name CSV with header date,price,spread_bps (ISO dates).
+
+    A price or spread that is not finite and > 0 (NonPositiveValue), or
+    a date not after the previous row's, is a DataError at its path:line.
+    """
     path = Path(path)
-    dates, price, spread = _read_csv(path, _SPREAD_HEADER, (dt.date, float, float))
-    if not dates:
+    name = name if name is not None else path.stem
+    last = np.empty(0, dtype="M8[D]")  # the last date of the rows built so far
+
+    def build(dates, price, spread):
+        # The reader passes the whole file, or one row at a time when it
+        # locates an error: the date order is checked across the calls.
+        nonlocal last
+        days = _days(dates)
+        _require_increasing(name, np.concatenate([last, days[:1]]))
+        series = SpreadSeries(name, days, price, spread)
+        last = days[-1:]
+        return series
+
+    series = _read_csv(path, _SPREAD_HEADER, (dt.date, float, float), build)
+    if not len(series):
         raise DataError(f"{path}: no observations")
-    return SpreadSeries(name if name is not None else path.stem, _days(dates), price, spread)
+    return series
 
 
 # Rows of signals.csv formatted per write: the text of a whole universe's

@@ -565,8 +565,7 @@ def cmd_backtest(opts: dict) -> int:
     for snap in report.rebalances:
         with open(weights_dir / f"{snap.date.isoformat()}.csv", "w", newline="") as fh:
             fh.write("name,weight\n")
-            for name in sorted(snap.weights):
-                fh.write(f"{name},{snap.weights[name]!r}\n")
+            fh.write("".join(f"{name},{w!r}\n" for name, w in snap.weights.items()))
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -12,6 +12,12 @@ arrays of universe.load_price_series. The signals of all names are one
 cds.Signals table, in any row order; the backtest groups it by name with
 one stable sort of its name column.
 
+The backtest keeps its books as arrays on a days x names price panel,
+its names in name order: rank_deciles turns each rebalance's row of
+scores into a row of weights, and the book held between rebalances is
+its columns, in name order, and their weights. Each day's return adds
+the names' terms in that order, one at a time.
+
 No lookahead by construction: weights set on a rebalance date use only
 signals stamped window_end <= that date and prices up to it, and earn
 returns only from the following trading day.
@@ -28,7 +34,9 @@ the last price counts.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +52,6 @@ from .errors import (
 )
 
 __all__ = [
-    "UniverseSnapshot",
     "PortfolioSnapshot",
     "RebalanceSchedule",
     "BacktestReport",
@@ -54,21 +61,6 @@ __all__ = [
 ]
 
 PriceSeries = tuple[np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
-class UniverseSnapshot:
-    """All names with a valid signal on one date: name -> (price, nu_hat)."""
-
-    date: dt.date
-    entries: dict[str, tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        for name, (price, nu_hat) in self.entries.items():
-            if not (price > 0):
-                raise ValidationError(f"{name}: price must be > 0, got {price}")
-            if not math.isfinite(nu_hat):
-                raise ValidationError(f"{name}: nu_hat must be finite, got {nu_hat}")
 
 
 @dataclass(frozen=True)
@@ -137,25 +129,23 @@ class BacktestReport:
         }
 
 
-def rank_deciles(snapshot: UniverseSnapshot) -> PortfolioSnapshot:
-    """Equal-weight top-decile long / bottom-decile short portfolio.
+def rank_deciles(scores: np.ndarray) -> np.ndarray:
+    """Equal-weight top-decile long / bottom-decile short weights.
 
-    Names sorted by nu_hat descending (ties broken by name, so the
-    result is deterministic); k = floor(N/10) names per side at
-    +-1/(2k). Requires at least 10 names.
+    scores is one row of names; the weights come back in the same
+    order. Names are sorted by score, descending, with one stable sort,
+    so ties keep input order; k = floor(N/10) names per side at
+    +-1/(2k), 0.0 for the rest. Requires at least 10 names.
     """
-    n = len(snapshot.entries)
+    n = len(scores)
     if n < 10:
-        raise UniverseTooSmall(f"{n} names with valid signals on {snapshot.date}, need >= 10")
-    ordered = sorted(snapshot.entries.items(), key=lambda kv: (-kv[1][1], kv[0]))
+        raise UniverseTooSmall(f"{n} names with valid signals, need >= 10")
+    order = np.argsort(-scores, kind="stable")
     k = n // 10
-    w = 1.0 / (2.0 * k)
-    weights = {name: 0.0 for name, _ in ordered}
-    for name, _ in ordered[:k]:
-        weights[name] = w
-    for name, _ in ordered[-k:]:
-        weights[name] = -w
-    return PortfolioSnapshot(date=snapshot.date, weights=dict(sorted(weights.items())))
+    weights = np.zeros(n)
+    weights[order[:k]] = 1.0 / (2.0 * k)
+    weights[order[-k:]] = -1.0 / (2.0 * k)
+    return weights
 
 
 def _price_arrays(name: str, series: PriceSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +248,6 @@ def backtest(
     # names that have both prices and signals, in name order.
     groups = signals.by_name()
     names = [n for n in groups if n in arrays]
-    column = {name: j for j, name in enumerate(names)}
     panel = np.full((len(all_days), len(names)), np.nan)
     eligible = np.zeros((len(reb_days), len(names)), dtype=bool)
     scores = np.zeros((len(reb_days), len(names)))
@@ -277,23 +266,7 @@ def backtest(
             scores[:, j] *= var[latest]
         eligible[:, j] = ok
 
-    # Each date's eligible set is built once: its snapshot serves the peak
-    # check below and the rebalance in the main loop.
-    snapshots: dict[int, PortfolioSnapshot] = {}
-    peak = 0
-    for r, (d, row) in enumerate(zip(rebalance_dates, reb_rows.tolist())):
-        cols = np.flatnonzero(eligible[r])
-        entries = {
-            names[j]: (price, score)
-            for j, price, score in zip(
-                cols.tolist(), panel[row, cols].tolist(), scores[r, cols].tolist()
-            )
-        }
-        peak = max(peak, len(entries))
-        if len(entries) >= 10:
-            snapshots[row] = rank_deciles(UniverseSnapshot(date=d, entries=entries))
-        else:
-            snapshots[row] = PortfolioSnapshot(date=d, weights={})
+    peak = int(np.count_nonzero(eligible, axis=1).max())
     if len(signals):
         if peak == 0 and aligned:
             raise TooFewPriceDays(
@@ -305,50 +278,55 @@ def backtest(
         if peak < 10:
             raise UniverseTooSmall(f"at most {peak} names ever eligible, need >= 10")
 
-    first = int(reb_rows.min())
-    weights: dict[str, float] = {}
+    # Each rebalance's book: the held columns, in name order, and their
+    # weights. A date with fewer than 10 eligible names holds nothing.
+    rebalances: list[PortfolioSnapshot] = []
+    books: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for r, (d, row) in enumerate(zip(rebalance_dates, reb_rows.tolist())):
+        cols = np.flatnonzero(eligible[r])
+        w = rank_deciles(scores[r, cols]) if cols.size >= 10 else np.zeros(0)
+        ranked = [names[j] for j in cols[: w.size].tolist()]
+        rebalances.append(PortfolioSnapshot(date=d, weights=dict(zip(ranked, w.tolist()))))
+        held = np.flatnonzero(w)
+        books[row] = (cols[held], w[held])
+
     daily: list[tuple[dt.date, float]] = []
     long_rets: list[float] = []
     short_rets: list[float] = []
     turnovers: list[float] = []
-    rebalances: list[PortfolioSnapshot] = []
     dropped: list[tuple[dt.date, str]] = []
 
-    prev = panel[first].tolist()
+    def legs(weights: np.ndarray) -> list[tuple[list[float], np.ndarray]]:
+        """Each leg a book holds: its list of daily mean returns and its
+        column mask."""
+        sides = ((long_rets, weights > 0), (short_rets, weights < 0))
+        return [(leg, side) for leg, side in sides if side.any()]
+
+    cols, weights, open_legs = np.zeros(0, dtype=np.intp), np.zeros(0), []
+    first = int(reb_rows[0])
     for i in range(first, len(trading_days)):
-        day = trading_days[i]
         if i > first:
-            now = panel[i].tolist()
-            ret = 0.0
-            longs: list[float] = []
-            shorts: list[float] = []
-            # Summed name by name in weight order: the report's returns
-            # depend on the order of the additions.
-            for name in list(weights):
-                w = weights[name]
-                p_now = now[column[name]]
-                if math.isnan(p_now):
-                    dropped.append((day, name))
-                    del weights[name]
-                    continue
-                r = p_now / prev[column[name]] - 1.0
-                ret += w * r
-                (longs if w > 0 else shorts).append(r)
-            daily.append((day, ret))
-            if longs:
-                long_rets.append(float(np.mean(longs)))
-            if shorts:
-                short_rets.append(float(np.mean(shorts)))
-            prev = now
-        if i in snapshots:
-            snap = snapshots[i]
-            new_weights = {n: w for n, w in snap.weights.items() if w != 0.0}
-            union = set(weights) | set(new_weights)
-            turnovers.append(
-                0.5 * math.fsum(abs(new_weights.get(n, 0.0) - weights.get(n, 0.0)) for n in union)
-            )
-            rebalances.append(snap)
-            weights = new_weights
+            day = trading_days[i]
+            rets = panel[i, cols] / panel[i - 1, cols] - 1.0
+            gone = np.isnan(rets)
+            if gone.any():
+                dropped += [(day, names[j]) for j in cols[gone].tolist()]
+                cols, weights, rets = cols[~gone], weights[~gone], rets[~gone]
+                open_legs = legs(weights)
+            # Added one name at a time, in name order, onto 0.0: the
+            # report's returns depend on the order of the additions, and
+            # np.sum would add in pairs.
+            daily.append((day, functools.reduce(operator.add, (weights * rets).tolist(), 0.0)))
+            for leg, side in open_legs:
+                # np.mean's own sum and division, without its per-call cost
+                leg.append(float(np.add.reduce(rets[side]) / np.count_nonzero(side)))
+        if i in books:
+            change = np.zeros(len(names))
+            change[books[i][0]] = books[i][1]
+            change[cols] -= weights
+            turnovers.append(0.5 * math.fsum(np.abs(change).tolist()))
+            cols, weights = books[i]
+            open_legs = legs(weights)
 
     returns = np.array([r for _, r in daily], dtype=float)
     mean = float(np.mean(returns)) if returns.size else 0.0

@@ -33,6 +33,10 @@ read_csv_reference and the five *_reference loaders are the row-wise
 csv.reader loaders that the columnar reader (cds._read_csv on
 numpy.loadtxt) replaced; the loaders are checked against them.
 
+rank_deciles and UniverseSnapshot are the dict ranking that
+portfolio.rank_deciles (one stable argsort over a score array) and the
+backtest's weight panel replaced; backtest_reference ranks with them.
+
 fits_reference and rolling_extract_reference are the per-name fit that
 cds.extract_universe (every window of many names in one pass) replaced,
 kept verbatim but for the name column of the table they return.
@@ -79,13 +83,7 @@ from tanhdrift.model import (
     density_profile,
     drift,
 )
-from tanhdrift.portfolio import (
-    BacktestReport,
-    PortfolioSnapshot,
-    RebalanceSchedule,
-    UniverseSnapshot,
-    rank_deciles,
-)
+from tanhdrift.portfolio import BacktestReport, PortfolioSnapshot, RebalanceSchedule
 
 
 PriceSeries = list[tuple[dt.date, float]]
@@ -352,6 +350,42 @@ def rolling_extract_reference(
 # ---------------------------------------------------------------------------
 # Backtest reference: the record-scanning backtest that portfolio.backtest
 # replaced, kept as the scalar oracle for its per-name array version.
+
+
+@dataclass(frozen=True)
+class UniverseSnapshot:
+    """All names with a valid signal on one date: name -> (price, nu_hat)."""
+
+    date: dt.date
+    entries: dict[str, tuple[float, float]]
+
+    def __post_init__(self) -> None:
+        for name, (price, nu_hat) in self.entries.items():
+            if not (price > 0):
+                raise ValidationError(f"{name}: price must be > 0, got {price}")
+            if not math.isfinite(nu_hat):
+                raise ValidationError(f"{name}: nu_hat must be finite, got {nu_hat}")
+
+
+def rank_deciles(snapshot: UniverseSnapshot) -> PortfolioSnapshot:
+    """Equal-weight top-decile long / bottom-decile short portfolio.
+
+    Names sorted by nu_hat descending (ties broken by name, so the
+    result is deterministic); k = floor(N/10) names per side at
+    +-1/(2k). Requires at least 10 names.
+    """
+    n = len(snapshot.entries)
+    if n < 10:
+        raise UniverseTooSmall(f"{n} names with valid signals on {snapshot.date}, need >= 10")
+    ordered = sorted(snapshot.entries.items(), key=lambda kv: (-kv[1][1], kv[0]))
+    k = n // 10
+    w = 1.0 / (2.0 * k)
+    weights = {name: 0.0 for name, _ in ordered}
+    for name, _ in ordered[:k]:
+        weights[name] = w
+    for name, _ in ordered[-k:]:
+        weights[name] = -w
+    return PortfolioSnapshot(date=snapshot.date, weights=dict(sorted(weights.items())))
 
 
 def _latest_signal(records: list[SignalRecord], asof: dt.date) -> SignalRecord | None:

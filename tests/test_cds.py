@@ -30,7 +30,14 @@ from tanhdrift.cds import (
     synth_spread,
     write_signals_csv,
 )
-from tanhdrift.universe import load_manifest, load_price_series, load_truth
+from tanhdrift.portfolio import signal_quality
+from tanhdrift.universe import (
+    UniverseSpec,
+    generate_universe,
+    load_manifest,
+    load_price_series,
+    load_truth,
+)
 
 import oracles
 from oracles import exact_log_default_prob, ols_fit
@@ -485,6 +492,21 @@ def test_spread_series_bad_row(tmp_path):
         load_spread_series(path)
 
 
+def test_spread_file_bad_value_or_order_names_its_line(tmp_path):
+    # both faults are data errors at the line of the row that shows them
+    path = tmp_path / "neg.csv"
+    path.write_text("date,price,spread_bps\n2020-01-01,10.0,5.0\n\n2020-01-02,10.0,-1\n")
+    with pytest.raises(td.NonPositiveValue, match=r"^\S*neg\.csv:4: neg: spread must be finite "
+                                                  r"> 0, got -1\.0 on 2020-01-02$"):
+        load_spread_series(path)
+    path = tmp_path / "order.csv"
+    path.write_text("date,price,spread_bps\n2020-01-01,10.0,5.0\n2020-01-03,10.0,5.0\n"
+                    "2020-01-03,10.0,5.0\n2020-01-02,10.0,5.0\n")
+    with pytest.raises(td.DataError, match=r"^\S*order\.csv:4: order: observation dates must be "
+                                           r"strictly increasing \(2020-01-03 then 2020-01-03\)$"):
+        load_spread_series(path)
+
+
 def test_signals_csv_roundtrip(tmp_path, monkeypatch):
     jan4, feb1, feb2, mar1 = (dt.date(2021, 1, 4), dt.date(2021, 2, 1), dt.date(2021, 2, 2),
                               dt.date(2021, 3, 1))
@@ -710,3 +732,64 @@ def test_extract_universe_checks_windows_before_reading(tmp_path):
     for window_len, stride in ((0, 1), (5, 0)):
         with pytest.raises(td.ValidationError, match="must be >= 1"):
             extract_universe([("A", tmp_path / "absent.csv")], window_len, stride)
+
+
+# ---------------------------------------------------------------------------
+# The limit of the asymptotic spread relation: finite-maturity spreads
+
+
+def _finite_maturity_extraction(out, n_names, seed, ratio_range):
+    """Median nu_hat / nu over the names and its 10% and 90% quantiles,
+    and the Spearman correlation of each name's median nu_hat with nu,
+    for spreads priced with the model's 5-year default probability
+    b * P(ln S, T = 5) from the paths of a synthetic universe, and the
+    Spearman correlation on the universe's own asymptotic spreads."""
+    generate_universe(UniverseSpec(n_names=n_names, days=504, seed=seed,
+                                   ratio_range=ratio_range), out)
+    b = SpreadModelConfig().b
+    with open(out / "truth.csv", newline="") as fh:
+        truth = {row["name"]: row for row in csv.DictReader(fh)}
+    finite, asymptotic = [], []
+    for name, price_file, spread_file in load_manifest(out / "manifest.csv"):
+        row = truth[name]
+        params = td.ModelParams.from_threshold_price(float(row["nu"]), float(row["sigma"]),
+                                                     float(row["s_star"]))
+        days, prices = load_price_series(price_file)
+        healthy = prices > params.s_star  # the days the spread files hold
+        z = b * td.regime_transition_probs_finite(
+            params, np.log(prices[healthy]), 5.0, td.Direction.HEALTHY_TO_DISTRESSED)
+        finite.append((name, SpreadSeries(name, days[healthy], prices[healthy], z)))
+        asymptotic.append((name, spread_file))
+    nu = {name: float(row["nu"]) for name, row in truth.items()}
+
+    def medians(sources):
+        table, errors = extract_universe(sources, 21, 21)
+        assert errors == []
+        return {n: float(np.median(table.nu_hat[r])) for n, r in table.by_name().items()}
+
+    medians_finite = medians(finite)
+    ratio = np.quantile([v / nu[n] for n, v in medians_finite.items()], [0.1, 0.5, 0.9])
+    return (ratio, signal_quality(nu, medians_finite),
+            signal_quality(nu, medians(asymptotic)))
+
+
+@pytest.mark.parametrize("n_names, seed, ratio_range, ratio, rho_finite, rho_asymptotic", [
+    (400, 1, (5.0, 15.0), (1.379, 2.443, 5.669), 0.4372, 0.99988),
+    (200, 2, (1.2, 2.0), (0.835, 1.159, 2.277), 0.8125, 0.9778),
+])
+def test_finite_maturity_spreads_bias_and_rank_loss(
+    tmp_path, n_names, seed, ratio_range, ratio, rho_finite, rho_asymptotic
+):
+    # synth-universe prices spreads with the asymptotic probability, the
+    # relation extract inverts; the model's own probability of default
+    # within the 5-year maturity is the finite-horizon one. On the same
+    # paths it biases nu_hat up (far from the threshold, by more than 2x)
+    # and loses much of the ranking. The pinned values were measured on
+    # these universes (504 days, window and stride 21; the smallest
+    # spread 2.8e-13 bps, none underflowed); the bounds allow only for
+    # floating-point differences between platforms.
+    got_ratio, got_finite, got_asymptotic = _finite_maturity_extraction(
+        tmp_path, n_names, seed, ratio_range)
+    assert got_ratio == pytest.approx(ratio, abs=0.01)
+    assert got_finite == pytest.approx(rho_finite, abs=0.002)
+    assert got_asymptotic == pytest.approx(rho_asymptotic, abs=0.0005)

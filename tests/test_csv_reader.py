@@ -7,12 +7,14 @@ wrong field count, a bad value, an oversize field or an undecodable
 byte at a random line. Both must return equal values (floats bit for
 bit; per-name columns through oracles.as_rows) or raise the same
 exception type with the same message. The intended differences, numpy's
-stricter float syntax and the manifest's name rule, are tested on their
-own below, and so is the date syntax, which must not differ.
+stricter float syntax, the manifest's name rule and the place of a bad
+spread file value (_spread_outcome), are tested on their own below, and
+so is the date syntax, which must not differ.
 """
 
 import csv
 import datetime as dt
+import math
 import struct
 import warnings
 
@@ -156,6 +158,30 @@ def _outcome(load, path):
         return type(exc), str(exc)
 
 
+def _spread_outcome(path, want):
+    """The spread loader's outcome, given the reference's: a price or
+    spread that is not finite and > 0 is a NonPositiveValue at its
+    path:line, raised in file order with the errors of reading, where
+    the reference raised it without a place after reading every row."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != 3:
+                    return want
+                day = dt.date.fromisoformat(fields[0])
+                for label, value in (("price", float(fields[1])), ("spread", float(fields[2]))):
+                    if not (math.isfinite(value) and value > 0):
+                        return td.NonPositiveValue, (f"{path}:{reader.line_num}: f: {label} "
+                                                     f"must be finite > 0, got {value} on {day}")
+    except (ValueError, csv.Error):  # a read error comes first
+        pass
+    return want
+
+
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.data_too_large])
@@ -169,6 +195,8 @@ def test_loader_matches_row_wise_reference(tmp_path, kind, data):
         warnings.simplefilter("error")
         got = _outcome(load, path)
     want = _outcome(reference, path)
+    if kind == "spread":
+        want = _spread_outcome(path, want)
     assert got == want, fault
     assert got[0] == "ok" or issubclass(got[0], td.DataError)
 

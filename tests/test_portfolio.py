@@ -1,21 +1,23 @@
 """Decile portfolio construction and backtest accounting."""
 
 import datetime as dt
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import tanhdrift as td
+import oracles
 from oracles import as_rows, backtest_reference
 from tanhdrift.cds import Signals, SpreadModelConfig, SpreadSeries, rolling_extract, synth_spread
 from tanhdrift.portfolio import (
+    PortfolioSnapshot,
     RebalanceSchedule,
-    UniverseSnapshot,
     backtest,
     rank_deciles,
     signal_quality,
@@ -54,9 +56,16 @@ def _flat_universe(n_names, n_days, price=100.0):
 # rank_deciles
 
 
+def _ranked(scores, names=None):
+    """rank_deciles's weights on scores as a snapshot, by name; names
+    default to N00, N01, ... in input order."""
+    names = names or [f"N{i:02d}" for i in range(len(scores))]
+    weights = rank_deciles(np.array(scores, dtype=float))
+    return PortfolioSnapshot(date=D0, weights=dict(zip(names, weights.tolist())))
+
+
 def test_rank_deciles_twenty_names():
-    entries = {f"N{i:02d}": (100.0, float(i)) for i in range(1, 21)}
-    snap = rank_deciles(UniverseSnapshot(date=D0, entries=entries))
+    snap = _ranked([float(i) for i in range(1, 21)], [f"N{i:02d}" for i in range(1, 21)])
     assert snap.weights["N20"] == 0.25
     assert snap.weights["N19"] == 0.25
     assert snap.weights["N01"] == -0.25
@@ -67,27 +76,24 @@ def test_rank_deciles_twenty_names():
 
 
 def test_rank_deciles_all_tied_is_deterministic():
-    entries = {f"N{i:02d}": (50.0, 1.5) for i in range(12)}
-    snap = rank_deciles(UniverseSnapshot(date=D0, entries=entries))
-    again = rank_deciles(UniverseSnapshot(date=D0, entries=dict(reversed(entries.items()))))
-    assert snap.weights == again.weights
-    assert snap.weights["N00"] == 0.5  # ties broken by name
+    scores = [1.5] * 12
+    snap = _ranked(scores)
+    assert snap.weights == _ranked(scores).weights
+    assert snap.weights["N00"] == 0.5  # ties keep input order, which is name order
     assert snap.weights["N11"] == -0.5
     assert snap.net == 0.0
     assert abs(snap.gross - 1.0) < 1e-12
 
 
 def test_rank_deciles_too_small():
-    entries = {f"N{i}": (50.0, float(i)) for i in range(9)}
     with pytest.raises(td.UniverseTooSmall):
-        rank_deciles(UniverseSnapshot(date=D0, entries=entries))
+        rank_deciles(np.arange(9.0))
 
 
 def test_rank_deciles_invariants_across_sizes():
     rng = np.random.default_rng(3)
     for n in (10, 23, 57, 100):
-        entries = {f"N{i:03d}": (100.0, float(v)) for i, v in enumerate(rng.normal(size=n))}
-        snap = rank_deciles(UniverseSnapshot(date=D0, entries=entries))
+        snap = _ranked(rng.normal(size=n).tolist())
         k = n // 10
         assert sum(1 for w in snap.weights.values() if w > 0) == k
         assert sum(1 for w in snap.weights.values() if w < 0) == k
@@ -95,11 +101,24 @@ def test_rank_deciles_invariants_across_sizes():
         assert abs(snap.gross - 1.0) < 1e-12
 
 
-def test_universe_snapshot_validation():
-    with pytest.raises(td.ValidationError):
-        UniverseSnapshot(date=D0, entries={"A": (-1.0, 0.5)})
-    with pytest.raises(td.ValidationError):
-        UniverseSnapshot(date=D0, entries={"A": (10.0, float("nan"))})
+# Scores with heavy ties, both zeros, and huge and tiny magnitudes.
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_SCORES, min_size=10, max_size=120))
+def test_rank_deciles_matches_dict_reference(scores):
+    # names in input order are in name order, as the backtest's columns are
+    names = [f"N{i:03d}" for i in range(len(scores))]
+    want = oracles.rank_deciles(
+        oracles.UniverseSnapshot(date=D0, entries={n: (100.0, v) for n, v in zip(names, scores)})
+    )
+    got = rank_deciles(np.array(scores))
+    assert list(want.weights) == names
+    assert repr(got.tolist()) == repr(list(want.weights.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +181,12 @@ def test_windows_without_variance_days_are_not_no_overlap():
 
 
 def test_non_finite_price_rejected():
-    prices = _flat_universe(10, 5)
-    prices["N03"][1][2] = math.inf
-    with pytest.raises(td.ValidationError, match="N03"):
-        backtest(prices, Signals.concat([]), RebalanceSchedule(every=1))
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        prices = _flat_universe(10, 5)
+        prices["N03"][1][2] = bad
+        message = f"N03: price must be finite and > 0, got {bad} on "
+        with pytest.raises(td.ValidationError, match=message):
+            backtest(prices, Signals.concat([]), RebalanceSchedule(every=1))
 
 
 def test_warmup_period_holds_nothing():
@@ -358,8 +379,26 @@ def _outcome(run, *args):
         return type(exc)
 
 
+def _short_only_flat_day():
+    """Ten flat names; the long leg's one name has no price after the
+    rebalance, so the next day only the short leg is held, and it earns
+    exactly 0.0 (a return of -0.0 if the sum started from its first term)."""
+    days = np.array(_days(4), dtype="M8[D]")
+    prices = {f"N{i:02d}": (days, np.full(4, 100.0)) for i in range(10)}
+    prices["N09"] = (days[:1], np.array([100.0]))
+    signals = Signals.concat(_signals(n, (_days(1)[0], float(i))) for i, n in enumerate(prices))
+    return prices, signals, RebalanceSchedule(every=999), _days(4)[2]
+
+
+def _report_text(report):
+    """The strict JSON that report.json is written from: unlike ==, it
+    tells -0.0 from 0.0."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(_panels())
+@example(_short_only_flat_day())
 def test_backtest_matches_reference(case):
     prices, signals, schedule, cut = case
     by_nu = None
@@ -376,11 +415,12 @@ def test_backtest_matches_reference(case):
             assert got is want
             continue
         assert not isinstance(got, type), got
-        assert [(s.date, s.weights) for s in got.rebalances] == [
-            (s.date, s.weights) for s in want.rebalances
-        ]
+        # weights bit for bit and in the order the weight files list them
+        assert repr([(s.date, list(s.weights.items())) for s in got.rebalances]) == repr(
+            [(s.date, list(s.weights.items())) for s in want.rebalances]
+        )
         # daily returns, drops, turnover, leg means and the summary statistics
-        assert got.to_dict() == want.to_dict()
+        assert _report_text(got) == _report_text(want)
         for snap in got.rebalances:
             if any(snap.weights.values()):
                 assert snap.net == 0.0
