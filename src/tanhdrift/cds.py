@@ -90,13 +90,14 @@ def _days(dates) -> np.ndarray:
     return np.datetime64("0001-01-01", "D") + (ordinals - 1)
 
 
-def _store_columns(table, dtypes: dict, what: str) -> None:
-    """Store each column named in dtypes as a read-only 1-D copy of that
-    dtype; all must be as long as the first. what names the table in an
-    error."""
+def _store_columns(table, dtypes: dict, what: str, copy: bool | None = True) -> None:
+    """Store each column named in dtypes as a read-only 1-D array of that
+    dtype: a copy, or with copy=None the array itself where it already
+    has that dtype. All must be as long as the first. what names the
+    table in an error."""
     n = np.size(getattr(table, next(iter(dtypes))))
     for label, dtype in dtypes.items():
-        values = np.array(getattr(table, label), dtype=dtype)
+        values = np.array(getattr(table, label), dtype=dtype, copy=copy)
         if values.shape != (n,):
             raise ValidationError(f"{what}: {label} has shape {values.shape}, not ({n},)")
         values.setflags(write=False)
@@ -153,8 +154,9 @@ class Signals:
     A table holds any number of names, in any row order. name is an
     object array of str, window_start and window_end are datetime64[D],
     n_obs int64 and the rest float64, stored as read-only copies of one
-    length. Every row is checked in one vectorized pass: nu_hat and
-    a_tilde must be finite and r_squared in [0, 1] or NaN.
+    length (the tables the package builds itself keep their fresh
+    arrays, see _own). Every row is checked in one vectorized pass:
+    nu_hat and a_tilde must be finite and r_squared in [0, 1] or NaN.
     """
 
     name: np.ndarray
@@ -166,8 +168,8 @@ class Signals:
     n_obs: np.ndarray
     slope_stderr: np.ndarray
 
-    def __post_init__(self) -> None:
-        _store_columns(self, _SIGNAL_COLUMNS, "signals")
+    def __post_init__(self, copy: bool | None = True) -> None:
+        _store_columns(self, _SIGNAL_COLUMNS, "signals", copy)
         nu, a, r2 = self.nu_hat, self.a_tilde, self.r_squared
         bad = np.flatnonzero(~(np.isfinite(nu) & np.isfinite(a)))
         if bad.size:
@@ -181,15 +183,26 @@ class Signals:
         return len(self.nu_hat)
 
     @classmethod
+    def _own(cls, *columns) -> Signals:
+        """The table of columns the package has just built and hands over:
+        checked like any table, but each column that has its dtype is
+        kept and made read-only, not copied."""
+        table = object.__new__(cls)
+        for label, values in zip(_SIGNAL_COLUMNS, columns, strict=True):
+            object.__setattr__(table, label, values)
+        table.__post_init__(copy=None)
+        return table
+
+    @classmethod
     def concat(cls, tables: Iterable[Signals]) -> Signals:
         """One table of the rows of tables, in turn (no tables: no rows)."""
         tables = list(tables)
-        return cls(*(np.concatenate([np.empty(0, dtype)] + [getattr(t, c) for t in tables])
-                     for c, dtype in _SIGNAL_COLUMNS.items()))
+        return cls._own(*(np.concatenate([np.empty(0, dtype)] + [getattr(t, c) for t in tables])
+                          for c, dtype in _SIGNAL_COLUMNS.items()))
 
     def take(self, rows) -> Signals:
         """The table of the rows that rows (indices, a mask or a slice) selects."""
-        return Signals(*(getattr(self, c)[rows] for c in _SIGNAL_COLUMNS))
+        return Signals._own(*(getattr(self, c)[rows] for c in _SIGNAL_COLUMNS))
 
     def by_name(self) -> dict[str, np.ndarray]:
         """Each name's row indices, in table order; the names in sorted
@@ -283,8 +296,8 @@ def _fits(
     intercept = np.where(flat, xy[:, 1, 0], mean[:, 1] - slope * mean[:, 0])
     names = np.array([s.name for s in batch], dtype=object)
     dates = np.concatenate([s.dates for s in batch])
-    table = Signals(names[owner], dates[first], dates[first + (w - 1)], -slope / 2.0, intercept,
-                    np.minimum(r2, 1.0), np.full(len(first), w), stderr)
+    table = Signals._own(names[owner], dates[first], dates[first + (w - 1)], -slope / 2.0,
+                         intercept, np.minimum(r2, 1.0), np.full(len(first), w), stderr)
     return table, np.bincount(owner, minlength=len(batch))
 
 
@@ -597,7 +610,7 @@ def write_signals_csv(table: Signals, path) -> None:
 
 def _signal_table(names, starts, ends, *fits) -> Signals:
     """The rows of a signals CSV as one table, in file order (stderr not kept)."""
-    return Signals(names, _days(starts), _days(ends), *fits, np.full(len(names), math.nan))
+    return Signals._own(names, _days(starts), _days(ends), *fits, np.full(len(names), math.nan))
 
 
 def load_signals_csv(path) -> Signals:

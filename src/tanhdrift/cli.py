@@ -21,7 +21,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,8 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("compare_fp", bool, False, "add a finite-difference PDE column"),
         Opt("compare_mc", bool, False, "add a Monte Carlo histogram column"),
         Opt("fp_dx", float, help="PDE grid spacing (default: sigma sqrt(t)/100)"),
-        Opt("fp_dt", float, help="PDE time step (default: t/1000)"),
+        Opt("fp_dt", float, help="PDE time step (default: t/1000, or finer to keep "
+                                 "mu_tilde dt / dx <= 1.7)"),
         Opt("mc_paths", int, 100_000, "Monte Carlo paths"),
         Opt("mc_dt", float, help="Monte Carlo time step (default: t/200)"),
         Opt("mc_seed", int, 12345, "Monte Carlo seed"),
@@ -321,6 +322,10 @@ def cmd_density(opts: dict) -> int:
         lo = min(x_min, x0 - margin) - 2 * dx
         hi = max(x_max, x0 + margin) + 2 * dx
         grid = _fp_grid(lo, hi - lo, dx, fdt, "--fp-dx")
+        if opts["fp_dt"] is None and params.mu_tilde * fdt / grid.dx > fp.MAX_COURANT:
+            # one step more than the fewest within the PDE's Courant bound
+            steps = math.ceil(params.mu_tilde * t / (fp.MAX_COURANT * grid.dx)) + 1
+            grid = replace(grid, dt=t / steps)
         field = fp.solve_fp(params, x0, t, grid)
         fp_col = np.interp(centers, grid.x, field.values)
         columns["fokker_planck"] = fp_col

@@ -9,9 +9,29 @@ precondition on the grid keeps the mass that would reach them below
 
 With L the tridiagonal operator on the interior nodes, a step solves
 (I - dt/2 L) u' = (I + dt/2 L) u. Since I + dt/2 L = 2I - A for
-A = I - dt/2 L, that is u' = 2 A^-1 u - u: the matrix A/2 is factored
-once by LAPACK (dgttrf), and each step is one dgttrs solve, which
-returns 2 A^-1 u exactly, minus u. The right-hand side is never formed.
+A = I - dt/2 L, that is u' = 2 A^-1 u - u, and the right-hand side is
+never formed.
+
+The step runs on a symmetric operator similar to L. Under the Peclet
+bound the off-diagonals of L are positive, so with D = diag(d),
+ln d[i+1] - ln d[i] = (ln upper[i] - ln lower[i+1]) / 2, the matrix
+D L D^-1 is symmetric with off-diagonals sqrt(upper[i] lower[i+1]).
+D A D^-1 / 2 is then symmetric positive definite: it is factored once
+as LDL^T by LAPACK (dpttrf), and each step is one dpttrs solve on
+v = D u, v <- 2 (D A D^-1)^-1 v - v, which costs about half a pivoted
+general tridiagonal solve. Since d > 0, negatives of v are those of u
+and are clamped in place, and the mass is (dx / d) . v; u = v / d is
+formed once, at the end. This is the discrete form of the ground-state
+transform that makes the model solvable, but d is taken from the
+stencil's own coefficients (in log form, centered so that max |ln d|
+is smallest), never from a closed form, so the solve stays independent
+of the density it checks.
+
+No such d exists where a face saturates at Peclet exactly 1 (an
+off-diagonal of L is 0), and d cannot be stored where the centered
+|ln d| passes 600 (e**600 is about 1e260, with room left for the
+density itself inside float64's range). There the same loop runs with
+d = 1 on the pivoted LU of A/2 (dgttrf once, one dgttrs per step).
 
 The delta initial condition is mollified to a narrow Gaussian of width
 2*dx (standard deviation), renormalized on the grid. Since that
@@ -30,12 +50,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import ToleranceError, ValidationError
 from .model import Direction, ModelParams, _require_diffusive, _whole_steps, drift
+
+# Largest centered |ln d| of the symmetrized step (see the module docstring).
+_MAX_LOG_SCALE = 600.0
+# Largest advective Courant number mu_tilde dt / dx (see solve_fp).
+MAX_COURANT = 1.7
 
 __all__ = [
     "GridSpec",
@@ -97,6 +123,21 @@ def boundary_margin(params: ModelParams, horizon: float) -> float:
     return 5.0 * params.sigma * math.sqrt(horizon) + params.mu_tilde * horizon
 
 
+def _symmetrizer(lower: np.ndarray, upper: np.ndarray) -> np.ndarray | None:
+    """The d > 0 that makes D L D^-1 symmetric for the tridiagonal L with
+    sub-diagonal lower[1:] and super-diagonal upper[:-1], centered so that
+    max |ln d| is smallest; None where an off-diagonal is not > 0 or that
+    maximum passes _MAX_LOG_SCALE (see the module docstring)."""
+    up, low = upper[:-1], lower[1:]
+    if not (np.all(up > 0.0) and np.all(low > 0.0)):
+        return None
+    log_d = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(up) - np.log(low)))))
+    log_d -= 0.5 * (log_d.max() + log_d.min())
+    if not (log_d.max() <= _MAX_LOG_SCALE):
+        return None
+    return np.exp(log_d)
+
+
 def solve_fp(
     params: ModelParams,
     x0: float,
@@ -111,9 +152,12 @@ def solve_fp(
     leak past the zero boundaries beyond 1e-6), T must be an integer
     number of grid.dt steps, the cell Peclet number
     mu_tilde * dx / sigma**2 must not exceed 1 (the centered advection
-    stencil oscillates beyond that), and the mesh ratio
+    stencil oscillates beyond that), the mesh ratio
     sigma**2 dt / (2 dx**2) must not exceed 20 (past about 22 the clamp
-    of barely damped grid-scale modes of the narrow start adds mass).
+    of barely damped grid-scale modes of the narrow start adds mass),
+    and the advective Courant number mu_tilde dt / dx must not exceed
+    1.7 (past about 1.84, with the start near x_star and the Peclet
+    number near 1, the clamp of Crank-Nicolson's undershoot adds mass).
 
     After every step negatives (clipped Crank-Nicolson undershoot, at
     the 1e-12 scale) are clamped to zero and the trapezoidal mass is
@@ -138,6 +182,12 @@ def solve_fp(
         raise ValidationError(
             f"mesh ratio sigma**2 dt / (2 dx**2) = {ratio:.3g} > 20: the clamp of undamped "
             "grid-scale modes would add mass; use a smaller dt"
+        )
+    courant = params.mu_tilde * grid.dt / dx
+    if courant > MAX_COURANT:
+        raise ValidationError(
+            f"advective Courant number mu_tilde dt / dx = {courant:.3g} > {MAX_COURANT}: the "
+            "clamp of Crank-Nicolson's undershoot would add mass; use a smaller dt"
         )
 
     x = grid.x
@@ -168,29 +218,38 @@ def solve_fp(
     upper = diff / dx**2 - mu_face[1:] / (2.0 * dx)
     diag = -2.0 * diff / dx**2 - (mu_face[1:] - mu_face[:-1]) / (2.0 * dx)
 
-    # Factor A/2 = I/2 - (dt/4) L once (see the module docstring). Under the
-    # Peclet bound the off-diagonals of L are >= 0 and its columns sum to
-    # zero, so A is strictly column diagonally dominant: no pivot is zero.
+    # Factor A/2 = I/2 - (dt/4) L once, or its symmetric similar (see the
+    # module docstring). Under the Peclet bound the off-diagonals of L are
+    # >= 0 and its columns sum to zero, so A is strictly column diagonally
+    # dominant: no pivot is zero, and D A D^-1 is positive definite.
     quarter_dt = 0.25 * grid.dt
-    dl, d, du, du2, ipiv, _ = dgttrf(
-        -quarter_dt * lower[1:], 0.5 - quarter_dt * diag, -quarter_dt * upper[:-1]
-    )
+    scale = _symmetrizer(lower, upper)
+    if scale is not None:
+        d, e, _ = dpttrf(0.5 - quarter_dt * diag, -quarter_dt * np.sqrt(upper[:-1] * lower[1:]))
+        solve = partial(dpttrs, d, e)
+    else:
+        scale = np.ones(grid.n_x - 2)
+        dl, d, du, du2, ipiv, _ = dgttrf(
+            -quarter_dt * lower[1:], 0.5 - quarter_dt * diag, -quarter_dt * upper[:-1]
+        )
+        solve = partial(dgttrs, dl, d, du, du2, ipiv)
 
-    u = values[1:-1].copy()
+    weight = dx / scale  # full-grid trapezoid of u; boundary nodes are zero
+    v = values[1:-1] * scale
     peak_mass = -math.inf
     for _ in range(n_steps):
-        y, _ = dgttrs(dl, d, du, du2, ipiv, u)
-        np.subtract(y, u, out=y)
+        y, _ = solve(v)
+        np.subtract(y, v, out=y)
         np.maximum(y, 0.0, out=y)
-        u = y
-        mass = u.sum() * dx  # full-grid trapezoid; boundary nodes are zero
+        v = y
+        mass = weight @ v
         if mass > 1.0 + 1e-6:
             raise ToleranceError(f"mass grew to {mass} > 1 + 1e-6; scheme unstable here")
         if mass > peak_mass:
             peak_mass = mass
 
     values = np.zeros(grid.n_x, dtype=float)
-    values[1:-1] = u
+    values[1:-1] = v / scale
     return DensityField(grid=grid, values=values, time=horizon, peak_mass=peak_mass)
 
 

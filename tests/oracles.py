@@ -27,7 +27,10 @@ oracles of their replacements.
 
 solve_fp_reference is the SuperLU Crank-Nicolson loop that
 fokker_planck.solve_fp replaced; the prefactored LAPACK version is
-checked against it.
+checked against it. solve_fp_dgttrs_reference is that prefactored
+version (one pivoted dgttrs solve per step), which the step on the
+symmetrized operator (one dpttrs solve) replaced; solve_fp is checked
+against it too, on both of its paths.
 
 read_csv_reference and the five *_reference loaders are the row-wise
 csv.reader loaders that the columnar reader (cds._read_csv on
@@ -58,6 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 from scipy.special import expit, ndtr
@@ -80,6 +84,7 @@ from tanhdrift.model import (
     _log_cosh,
     _require_diffusive,
     _require_starting_side,
+    _whole_steps,
     density_profile,
     drift,
 )
@@ -657,6 +662,108 @@ def solve_fp_reference(
     values = np.zeros(grid.n_x, dtype=float)
     values[1:-1] = u
     return DensityField(grid=grid, values=values, time=horizon)
+
+
+# The pivoted LAPACK loop that solve_fp ran before it stepped on the
+# symmetrized operator with dpttrs, kept verbatim as the oracle for the
+# symmetrized step and for the fallback that still runs it.
+
+
+def solve_fp_dgttrs_reference(
+    params: ModelParams,
+    x0: float,
+    horizon: float,
+    grid: GridSpec,
+    ic_width: float | None = None,
+) -> DensityField:
+    """Evolve the mollified delta at x0 to time T on the given grid.
+
+    Preconditions: x0 must sit inside the grid with margin
+    5 sigma sqrt(T) + mu_tilde T on both sides (otherwise mass would
+    leak past the zero boundaries beyond 1e-6), T must be an integer
+    number of grid.dt steps, the cell Peclet number
+    mu_tilde * dx / sigma**2 must not exceed 1 (the centered advection
+    stencil oscillates beyond that), and the mesh ratio
+    sigma**2 dt / (2 dx**2) must not exceed 20 (past about 22 the clamp
+    of barely damped grid-scale modes of the narrow start adds mass).
+
+    After every step negatives (clipped Crank-Nicolson undershoot, at
+    the 1e-12 scale) are clamped to zero and the trapezoidal mass is
+    required to stay <= 1 + 1e-6.
+    """
+    _require_diffusive(params)
+    _whole_steps(horizon, grid.dt)
+    margin = boundary_margin(params, horizon)
+    if x0 - grid.x_min < margin or grid.x_max - x0 < margin:
+        raise ValidationError(
+            f"x0={x0} needs margin {margin:.6g} inside [{grid.x_min}, {grid.x_max}]; "
+            "mass would leak past the boundaries"
+        )
+    dx = grid.dx
+    peclet = params.mu_tilde * dx / (params.sigma * params.sigma)
+    if peclet > 1.0:
+        raise ValidationError(
+            f"cell Peclet number {peclet:.3g} > 1: centered advection needs a finer grid"
+        )
+    ratio = params.sigma * params.sigma * grid.dt / (2.0 * dx * dx)
+    if ratio > 20.0:
+        raise ValidationError(
+            f"mesh ratio sigma**2 dt / (2 dx**2) = {ratio:.3g} > 20: the clamp of undamped "
+            "grid-scale modes would add mass; use a smaller dt"
+        )
+
+    x = grid.x
+    w = 2.0 * dx if ic_width is None else float(ic_width)
+    if not (w > 0):
+        raise ValidationError(f"ic_width must be > 0, got {w}")
+    t_ic = w * w / (params.sigma * params.sigma)
+    if t_ic > 0.5 * horizon:
+        raise ValidationError(
+            f"initial-condition width {w} diffuses for {t_ic:.3g} of the {horizon:.3g} horizon; "
+            "use a finer grid"
+        )
+    n_steps = round((horizon - t_ic) / grid.dt)
+    if n_steps < 1:
+        raise ValidationError(f"dt={grid.dt} leaves no whole step in the horizon {horizon}")
+    values = np.exp(-((x - x0) ** 2) / (2.0 * w * w))
+    values[0] = 0.0
+    values[-1] = 0.0
+    values /= np.trapezoid(values, dx=dx)
+
+    diff = 0.5 * params.sigma * params.sigma
+    mu_face = np.asarray(drift(params, x[:-1] + 0.5 * dx))  # n_x - 1 faces
+
+    # Interior rows i = 1..n_x-2; flux form
+    # dP_i/dt = [D (P_{i+1} - 2 P_i + P_{i-1}) / dx
+    #            - (mu_{i+1/2} (P_{i+1} + P_i) - mu_{i-1/2} (P_i + P_{i-1})) / 2] / dx
+    lower = diff / dx**2 + mu_face[:-1] / (2.0 * dx)
+    upper = diff / dx**2 - mu_face[1:] / (2.0 * dx)
+    diag = -2.0 * diff / dx**2 - (mu_face[1:] - mu_face[:-1]) / (2.0 * dx)
+
+    # Factor A/2 = I/2 - (dt/4) L once (see the module docstring). Under the
+    # Peclet bound the off-diagonals of L are >= 0 and its columns sum to
+    # zero, so A is strictly column diagonally dominant: no pivot is zero.
+    quarter_dt = 0.25 * grid.dt
+    dl, d, du, du2, ipiv, _ = dgttrf(
+        -quarter_dt * lower[1:], 0.5 - quarter_dt * diag, -quarter_dt * upper[:-1]
+    )
+
+    u = values[1:-1].copy()
+    peak_mass = -math.inf
+    for _ in range(n_steps):
+        y, _ = dgttrs(dl, d, du, du2, ipiv, u)
+        np.subtract(y, u, out=y)
+        np.maximum(y, 0.0, out=y)
+        u = y
+        mass = u.sum() * dx  # full-grid trapezoid; boundary nodes are zero
+        if mass > 1.0 + 1e-6:
+            raise ToleranceError(f"mass grew to {mass} > 1 + 1e-6; scheme unstable here")
+        if mass > peak_mass:
+            peak_mass = mass
+
+    values = np.zeros(grid.n_x, dtype=float)
+    values[1:-1] = u
+    return DensityField(grid=grid, values=values, time=horizon, peak_mass=peak_mass)
 
 
 def trading_dates_reference(start: dt.date, n: int) -> list[dt.date]:

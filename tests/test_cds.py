@@ -150,6 +150,14 @@ def test_signals_concat_take_and_by_name():
     empty = Signals.concat([])
     assert len(empty) == 0 and empty.by_name() == {} and empty.name.dtype == object
     assert len(table.take(slice(0, 0))) == 0
+    # the package's own tables keep the arrays it built: read-only, not copied
+    for built in (table, table.take(groups["B"]), table.take(slice(1, 3)), empty):
+        assert not any(getattr(built, c).flags.writeable for c in cds._SIGNAL_COLUMNS)
+    assert np.shares_memory(table.take(slice(1, 3)).nu_hat, table.nu_hat)
+    nu = np.array([1.0, math.inf])
+    with pytest.raises(td.ValidationError, match="must be finite"):
+        Signals._own(np.array(["A", "B"], object), d[:2], d[:2], nu, np.zeros(2), np.ones(2),
+                     np.full(2, 21), np.zeros(2))
 
 
 def test_spread_config_normalization():

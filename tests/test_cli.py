@@ -247,6 +247,19 @@ def test_fp_check_rejects_a_large_mesh_ratio(capsys):
     assert "mesh ratio" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fp-check", "--nu", 2, "--sigma", 1, "--x0", 0.5, "--horizon", 1, "--dx", 0.25,
+     "--dt", 0.5),
+    ("density", "--nu", 2, "--sigma", 1, "--x0", 0.5, "--t", 1, "--compare-fp",
+     "--fp-dx", 0.25, "--fp-dt", 0.5),
+])
+def test_pde_rejects_a_large_courant_number(capsys, argv):
+    # Peclet 0.5 and mesh ratio 4, but mu_tilde dt / dx = 4: the solve would
+    # end in ToleranceError
+    assert _run(*argv) == EXIT_VALIDATION
+    assert "Courant number mu_tilde dt / dx = 4 > 1.7" in capsys.readouterr().err
+
+
 def test_fp_check_fails_on_coarse_grid(capsys):
     code = _run("fp-check", "--nu", 1, "--sigma", 0.2, "--x-star", 0, "--x0", 0.5,
                 "--horizon", 2, "--dx", 0.02, "--dt", 1e-3)

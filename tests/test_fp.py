@@ -12,7 +12,7 @@ import tanhdrift as td
 from tanhdrift import fokker_planck as fp
 from tanhdrift.mc import SimConfig, mc_transition_prob
 
-from oracles import solve_fp_reference
+from oracles import solve_fp_dgttrs_reference, solve_fp_reference
 
 H2D = td.Direction.HEALTHY_TO_DISTRESSED
 D2H = td.Direction.DISTRESSED_TO_HEALTHY
@@ -160,9 +160,9 @@ def _outcome(solve, *args, **kwargs):
         return type(exc)
 
 
-def _assert_same_outcome(*args, **kwargs):
+def _assert_same_outcome(*args, reference=solve_fp_reference, **kwargs):
     new = _outcome(fp.solve_fp, *args, **kwargs)
-    ref = _outcome(solve_fp_reference, *args, **kwargs)
+    ref = _outcome(reference, *args, **kwargs)
     if isinstance(ref, type):
         assert new is ref
         return
@@ -192,14 +192,113 @@ def _fp_cases(draw):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(_fp_cases())
 def test_solve_fp_matches_splu_reference(case):
-    # past a mesh ratio sigma^2 dt / (2 dx^2) of 20 the solver refuses the
-    # grid, where the reference may still run or raise ToleranceError
+    # past a mesh ratio sigma^2 dt / (2 dx^2) of 20, or an advective Courant
+    # number mu_tilde dt / dx of fp.MAX_COURANT (1.7), the solver refuses
+    # the grid, where the reference may still run or raise ToleranceError
     p, x0, horizon, grid = case
     if p.sigma**2 * grid.dt / (2.0 * grid.dx**2) > 20.0:
         with pytest.raises(td.ValidationError, match="mesh ratio"):
             fp.solve_fp(p, x0, horizon, grid)
+    elif p.mu_tilde * grid.dt / grid.dx > fp.MAX_COURANT:
+        with pytest.raises(td.ValidationError, match="Courant"):
+            fp.solve_fp(p, x0, horizon, grid)
     else:
         _assert_same_outcome(p, x0, horizon, grid)
+
+
+# ---------------------------------------------------------------------------
+# the step on the symmetrized operator against the pivoted dgttrs loop
+
+
+@st.composite
+def _symmetrized_cases(draw):
+    """Grids inside every precondition: x0 on both sides of x*, nu up to
+    30, cell Peclet numbers up to 1 and often near it, and Courant numbers
+    up to the bound, often at it. Large nu * width takes the fallback."""
+    nu = draw(st.one_of(st.just(0.0), st.floats(0.1, 30.0)))
+    sigma = draw(st.floats(0.1, 1.0))
+    x_star = 0.1
+    x0 = x_star + draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    horizon = draw(st.floats(0.1, 1.0))
+    dx = sigma * math.sqrt(horizon / 8.0) * draw(st.floats(0.2, 1.0))  # start diffuses <= T/2
+    p = td.ModelParams(nu, sigma, x_star)
+    if nu > 0:
+        peclet = draw(st.one_of(st.floats(0.9, 1.0), st.floats(0.5, 1.0)))
+        dx = min(dx, peclet * sigma**2 / p.mu_tilde)
+    # the fewest whole steps that keep the Courant number and the mesh ratio
+    # inside their bounds, or more
+    n_steps = max(
+        math.ceil(p.mu_tilde * horizon / (fp.MAX_COURANT * dx)),
+        math.ceil(sigma**2 * horizon / (40.0 * dx**2)),
+        draw(st.one_of(st.just(1), st.integers(10, 300))),
+    )
+    return p, x0, horizon, _auto_grid(p, x0, horizon, dx, horizon / n_steps)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_symmetrized_cases())
+def test_solve_fp_matches_dgttrs_reference(case):
+    p, x0, horizon, grid = case
+    assert p.mu_tilde * grid.dt / grid.dx <= fp.MAX_COURANT
+    _assert_same_outcome(p, x0, horizon, grid, reference=solve_fp_dgttrs_reference)
+
+
+def _count_calls(monkeypatch, names):
+    """The list that each call of the fokker_planck globals names (LAPACK
+    solves) appends its name to."""
+    calls = []
+    for name in names:
+        real = getattr(fp, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fp, name, counted)
+    return calls
+
+
+def _assert_path(monkeypatch, solve, p, x0, horizon, grid):
+    """solve_fp steps with the LAPACK routine solve on this grid and
+    matches the dgttrs loop within 1e-10 of the peak."""
+    calls = _count_calls(monkeypatch, ("dpttrs", "dgttrs"))
+    _assert_same_outcome(p, x0, horizon, grid, reference=solve_fp_dgttrs_reference)
+    assert calls and set(calls) == {solve}
+
+
+def test_reference_grid_steps_on_the_symmetrized_operator(monkeypatch):
+    p = td.ModelParams(1.0, 0.2, 0.0)
+    _assert_path(monkeypatch, "dpttrs", p, 0.5, 1.0, _auto_grid(p, 0.5, 1.0, 0.01, 1e-3))
+
+
+def test_scale_past_float64_takes_the_dgttrs_fallback(monkeypatch):
+    # nu * width is about 1940: the centered |ln d| of the stencil reaches
+    # about 699, past the 600 that d = exp(ln d) may span
+    p = td.ModelParams(100.0, 0.2, 0.0)
+    grid = _auto_grid(p, 0.5, 2.0, 0.008, 1e-3)
+    _assert_path(monkeypatch, "dgttrs", p, 0.5, 2.0, grid)
+
+
+def test_saturated_face_at_peclet_one_takes_the_dgttrs_fallback(monkeypatch):
+    # mu_tilde dx / sigma^2 = 4 * 0.25 / 1 is exactly 1, and tanh is exactly 1
+    # on the faces past |x - x*| = 4.77, where L's upper diagonal is 0
+    p = td.ModelParams(4.0, 1.0, 0.0)
+    grid = _auto_grid(p, 0.5, 1.0, 0.25, 0.01)
+    dx = grid.dx
+    mu_face = np.asarray(td.drift(p, grid.x[:-1] + 0.5 * dx))
+    assert np.any(0.5 * p.sigma**2 / dx**2 - mu_face / (2.0 * dx) == 0.0)
+    _assert_path(monkeypatch, "dgttrs", p, 0.5, 1.0, grid)
+
+
+def test_courant_precondition_enforced():
+    # Peclet 0.5, mesh ratio 4 and every other precondition met, but
+    # mu_tilde dt / dx = 4: the clamp would grow the mass past 1 + 1e-6
+    p = td.ModelParams(2.0, 1.0, 0.0)
+    grid = _auto_grid(p, 0.5, 1.0, 0.25, 0.5)
+    with pytest.raises(td.ValidationError, match="Courant number mu_tilde dt / dx = 4 > 1.7"):
+        fp.solve_fp(p, 0.5, 1.0, grid)
+    with pytest.raises(td.ToleranceError):
+        solve_fp_dgttrs_reference(p, 0.5, 1.0, grid)
 
 
 @pytest.mark.parametrize(
